@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import expio, grasp, pressure, spring, tactile
-from .errors import TwistgripError
+from .errors import DomainError, ParseError, TwistgripError, ValidationError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -31,46 +31,55 @@ def _emit(payload, as_json, human_lines):
             print(line)
 
 
-def _gripper_from_args(args):
-    if args.gripper in grasp.APERTURE_BY_NAME:
-        return grasp.GripperGeometry.from_name(args.gripper)
-    return grasp.GripperGeometry(aperture_diameter=float(args.gripper))
+def _load_scenario(path):
+    """Read a scenario JSON document; a malformed one raises an error naming the file and key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+
+    def required(*keys):
+        value = doc
+        for depth, key in enumerate(keys, start=1):
+            if not isinstance(value, dict) or key not in value:
+                raise ValidationError(f"{path}: missing key {'.'.join(keys[:depth])!r}")
+            value = value[key]
+        return value
+
+    gripper = required("gripper")
+    shape, height, diameter, mass = (
+        required("object", key) for key in ("shape_class", "height_m", "diameter_m", "mass_kg"))
+    shapes = [c.value for c in grasp.ShapeClass]
+    if shape not in shapes:
+        raise ValidationError(f"{path}: object.shape_class {shape!r} is not one of {shapes}")
+    try:
+        return grasp.GraspScenario(
+            gripper=(grasp.GripperGeometry.from_name(gripper) if isinstance(gripper, str)
+                     else grasp.GripperGeometry(**gripper)),
+            obj=grasp.ObjectDescriptor(grasp.ShapeClass(shape), height, diameter, mass,
+                                       label=doc["object"].get("label", "")),
+            submersion_fraction=doc.get("submersion_fraction", 0.0),
+            inside_petal_region=doc.get("inside_petal_region", True),
+            agitated_approach=doc.get("agitated_approach", False),
+        )
+    except (DomainError, TypeError) as exc:  # out-of-range or wrongly typed values
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _scenario_from_json(doc):
-    gripper_doc = doc["gripper"]
-    if isinstance(gripper_doc, str):
-        gripper = grasp.GripperGeometry.from_name(gripper_doc)
-    else:
-        gripper = grasp.GripperGeometry(**gripper_doc)
-    obj_doc = doc["object"]
-    obj = grasp.ObjectDescriptor(
-        shape_class=grasp.ShapeClass(obj_doc["shape_class"]),
-        height=obj_doc["height_m"],
-        diameter=obj_doc["diameter_m"],
-        mass=obj_doc["mass_kg"],
-        label=obj_doc.get("label", ""),
-    )
-    return grasp.GraspScenario(
-        gripper=gripper,
-        obj=obj,
-        submersion_fraction=doc.get("submersion_fraction", 0.0),
-        air_support_kpa=doc.get("air_support_kpa", 0.0),
-        lift_height=doc.get("lift_height_m", 0.0),
-        hold_height=doc.get("hold_height_m", 0.0),
-        inside_petal_region=doc.get("inside_petal_region", True),
-        agitated_approach=doc.get("agitated_approach", False),
-    )
+def _pressure_cross_check(args, g, n_intervals):
+    """Closed form, quadrature, their relative gap, and equilibrium residual for the args' sphere."""
+    obj = pressure.SphericalObject(mass=args.mass, radius=args.radius)
+    fric = pressure.FrictionModel(k=args.k)
+    closed = pressure.line_pressure_closed_form(obj, fric, g=g)
+    quad = pressure.line_pressure_quadrature(obj, fric, g=g, n_intervals=n_intervals)
+    dist = pressure.PressureDistribution(p_bottom=closed)
+    residual = pressure.equilibrium_residual(obj, fric, dist, g=g)
+    return closed, quad, abs(quad - closed) / closed if closed else 0.0, residual
 
 
 def cmd_pressure(args):
-    obj = pressure.SphericalObject(mass=args.mass, radius=args.radius)
-    fric = pressure.FrictionModel(k=args.k)
-    closed = pressure.line_pressure_closed_form(obj, fric, g=args.g)
-    quad = pressure.line_pressure_quadrature(obj, fric, g=args.g, n_intervals=args.n_intervals)
-    rel = abs(quad - closed) / closed if closed else 0.0
-    dist = pressure.PressureDistribution(p_bottom=closed)
-    residual = pressure.equilibrium_residual(obj, fric, dist, g=args.g)
+    closed, quad, rel, residual = _pressure_cross_check(args, args.g, args.n_intervals)
     payload = {
         "closed_form_n_per_m": closed,
         "quadrature_n_per_m": quad,
@@ -133,9 +142,7 @@ def cmd_spring_predict(args):
 
 
 def cmd_grasp_simulate(args):
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    scenario = _scenario_from_json(doc)
+    scenario = _load_scenario(args.scenario)
     outcome = grasp.grasp_feasibility(scenario)
     payload = {
         "verdict": outcome.verdict.value,
@@ -186,8 +193,11 @@ def _load_layout(args):
     if args.layout:
         with open(args.layout, "r", encoding="utf-8") as fh:
             return tactile.MarkerLayout.from_json(json.load(fh))
-    cols, rows = (int(v) for v in args.grid.split("x"))
-    return tactile.MarkerLayout.grid(cols, rows)
+    cols, _, rows = args.grid.partition("x")
+    if not (cols.isdecimal() and rows.isdecimal() and int(cols) > 0 and int(rows) > 0):
+        raise ValidationError(f"--grid must have the form CxR with positive integers, "
+                              f"e.g. 5x5; got {args.grid!r}")
+    return tactile.MarkerLayout.grid(int(cols), int(rows))
 
 
 def cmd_tactile_render(args):
@@ -210,10 +220,13 @@ def cmd_tactile_render(args):
     return EXIT_OK
 
 
+def _detect_file(path, args):
+    binary = tactile.binarize(tactile.read_pgm(path), threshold=args.threshold)
+    return tactile.detect_markers(binary, min_area=args.min_area)
+
+
 def cmd_tactile_detect(args):
-    frame = tactile.read_pgm(args.infile)
-    binary = tactile.binarize(frame, threshold=args.threshold)
-    markers = tactile.detect_markers(binary, min_area=args.min_area)
+    markers = _detect_file(args.infile, args)
     payload = {
         "count": len(markers),
         "detections": [
@@ -230,11 +243,8 @@ def cmd_tactile_detect(args):
 
 
 def _track_from_files(args):
-    prev = tactile.read_pgm(args.prev)
-    curr = tactile.read_pgm(args.curr)
-    prev_set = tactile.detect_markers(tactile.binarize(prev, args.threshold), min_area=args.min_area)
-    curr_set = tactile.detect_markers(tactile.binarize(curr, args.threshold), min_area=args.min_area)
-    return tactile.track(prev_set, curr_set, gate=args.gate)
+    return tactile.track(_detect_file(args.prev, args), _detect_file(args.curr, args),
+                         gate=args.gate)
 
 
 def cmd_tactile_track(args):
@@ -300,18 +310,14 @@ def cmd_report(args):
         plot=plot_name,
     ))
 
-    obj = pressure.SphericalObject(mass=args.mass, radius=args.radius)
-    fric = pressure.FrictionModel(k=args.k)
-    closed = pressure.line_pressure_closed_form(obj, fric)
-    quad = pressure.line_pressure_quadrature(obj, fric)
+    closed, quad, rel, _ = _pressure_cross_check(
+        args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
     sections.append(expio.ReportSection(
         title="Line pressure cross-check",
         metrics={
             "closed_form": {"value": closed, "unit": "N/m"},
             "quadrature": {"value": quad, "unit": "N/m"},
-            "relative_difference": {
-                "value": abs(quad - closed) / closed if closed else 0.0, "unit": "1",
-            },
+            "relative_difference": {"value": rel, "unit": "1"},
         },
     ))
 
@@ -409,28 +415,24 @@ def build_parser():
     tr.add_argument("--noise", type=float, default=0.0, help="Gaussian pixel noise sigma")
     tr.add_argument("--seed", type=int, default=0)
     tr.set_defaults(func=cmd_tactile_render)
-    td = tac_sub.add_parser("detect", help="detect marker centroids in a PGM frame")
+    detection = argparse.ArgumentParser(add_help=False)
+    detection.add_argument("--threshold", type=int, default=tactile.BINARIZE_THRESHOLD_DEFAULT)
+    detection.add_argument("--min-area", type=int, default=5)
+    detection.add_argument("--json", action="store_true")
+    td = tac_sub.add_parser("detect", parents=[detection],
+                            help="detect marker centroids in a PGM frame")
     td.add_argument("--in", dest="infile", required=True)
-    td.add_argument("--threshold", type=int, default=tactile.BINARIZE_THRESHOLD_DEFAULT)
-    td.add_argument("--min-area", type=int, default=5)
-    td.add_argument("--json", action="store_true")
     td.set_defaults(func=cmd_tactile_detect)
-    tt = tac_sub.add_parser("track", help="track marker displacements between two frames")
-    tt.add_argument("--prev", required=True)
-    tt.add_argument("--curr", required=True)
-    tt.add_argument("--gate", type=float, default=60.0, help="matching gate radius [px]")
-    tt.add_argument("--threshold", type=int, default=tactile.BINARIZE_THRESHOLD_DEFAULT)
-    tt.add_argument("--min-area", type=int, default=5)
-    tt.add_argument("--json", action="store_true")
+    frame_pair = argparse.ArgumentParser(add_help=False, parents=[detection])
+    frame_pair.add_argument("--prev", required=True)
+    frame_pair.add_argument("--curr", required=True)
+    frame_pair.add_argument("--gate", type=float, default=60.0, help="matching gate radius [px]")
+    tt = tac_sub.add_parser("track", parents=[frame_pair],
+                            help="track marker displacements between two frames")
     tt.set_defaults(func=cmd_tactile_track)
-    ts = tac_sub.add_parser("summarize", help="contact summary from a frame pair")
-    ts.add_argument("--prev", required=True)
-    ts.add_argument("--curr", required=True)
-    ts.add_argument("--gate", type=float, default=60.0)
-    ts.add_argument("--threshold", type=int, default=tactile.BINARIZE_THRESHOLD_DEFAULT)
-    ts.add_argument("--min-area", type=int, default=5)
+    ts = tac_sub.add_parser("summarize", parents=[frame_pair],
+                            help="contact summary from a frame pair")
     ts.add_argument("--air-support", type=float, default=0.0, help="air support [kPa]")
-    ts.add_argument("--json", action="store_true")
     ts.set_defaults(func=cmd_tactile_summarize)
 
     p = sub.add_parser("report", help="end-to-end report with plots from a payload curve")

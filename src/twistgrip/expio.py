@@ -134,24 +134,12 @@ def payload_to_weight_ratio(max_payload_kgf, gripper_weight_kg):
     return 100.0 * max_payload_kgf / gripper_weight_kg
 
 
-def newtons_kgf_convert(value, direction, g=G_DEFAULT):
-    """Convert a force between newtons and kilogram-force (1 kgf = g N).
-
-    direction is 'to_kgf' (N -> kgf) or 'to_n' (kgf -> N).
-    """
-    if direction == "to_kgf":
-        return value / g
-    if direction == "to_n":
-        return value * g
-    raise DomainError(f"direction must be 'to_kgf' or 'to_n', got {direction!r}")
-
-
 def newtons_to_kgf(value, g=G_DEFAULT):
-    return newtons_kgf_convert(value, "to_kgf", g=g)
+    return value / g
 
 
 def kgf_to_newtons(value, g=G_DEFAULT):
-    return newtons_kgf_convert(value, "to_n", g=g)
+    return value * g
 
 
 _SVG_WIDTH = 640

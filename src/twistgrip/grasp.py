@@ -109,17 +109,12 @@ class GraspScenario:
     gripper: GripperGeometry
     obj: ObjectDescriptor
     submersion_fraction: float = 0.0
-    air_support_kpa: float = 0.0
-    lift_height: float = 0.0
-    hold_height: float = 0.0
     inside_petal_region: bool = True
     agitated_approach: bool = False  # approach combined with rotation to squeeze out air
 
     def __post_init__(self):
         if not 0.0 <= self.submersion_fraction <= 1.0:
             raise DomainError("submersion_fraction must lie in [0, 1]")
-        if self.lift_height < 0 or self.hold_height < 0:
-            raise DomainError("heights must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -166,11 +161,7 @@ def simulate_phases(geom, n_steps=TRACE_STEPS):
     return trace
 
 
-def grasp_feasibility(
-    scenario,
-    trapped_air_threshold=TRAPPED_AIR_THRESHOLD,
-    elongated_length_ratio=ELONGATED_LENGTH_RATIO,
-):
+def grasp_feasibility(scenario):
     """Deterministic feasibility verdict with reason code and phase trace.
 
     Rule cascade, first match wins: object outside the petal region; diameter
@@ -191,11 +182,10 @@ def grasp_feasibility(
         return fail(Reason.OVERSIZED)
     if obj.shape_class is ShapeClass.FLAT:
         return fail(Reason.FLAT_OBJECT)
-    if obj.shape_class is ShapeClass.ELONGATED and obj.height > elongated_length_ratio * aperture:
+    if obj.shape_class is ShapeClass.ELONGATED and obj.height > ELONGATED_LENGTH_RATIO * aperture:
         return fail(Reason.ELONGATED_OBJECT)
-    threshold = trapped_air_threshold
-    if scenario.agitated_approach:
-        threshold = max(threshold, TRAPPED_AIR_THRESHOLD_AGITATED)
+    agitated = scenario.agitated_approach
+    threshold = TRAPPED_AIR_THRESHOLD_AGITATED if agitated else TRAPPED_AIR_THRESHOLD
     if scenario.submersion_fraction >= threshold:
         return fail(Reason.TRAPPED_AIR)
     trace = tuple(simulate_phases(scenario.gripper))
@@ -246,59 +236,43 @@ def _expected_verdict(success_rate):
     return Verdict.FEASIBLE if success_rate >= 0.5 else Verdict.INFEASIBLE
 
 
-def validate_against_reference(dataset, gripper=None):
+def _reference_object(doc):
+    """ObjectDescriptor from a reference-table record in grams and millimetres."""
+    return ObjectDescriptor(
+        shape_class=ShapeClass(doc["shape_class"]),
+        height=doc["height_mm"] / 1000.0,
+        diameter=doc["diameter_mm"] / 1000.0,
+        mass=doc["mass_g"] / 1000.0,
+        label=doc["name"],
+    )
+
+
+def validate_against_reference(dataset):
     """Replay a bundled reference table through grasp_feasibility.
 
-    dataset is a ReferenceDataset (or a dataset id string) for the object
-    demonstration table or the submersion table. Agreement compares the
-    predicted verdict against the recorded success rate (>= 50% means the
-    trials mostly succeeded, so Feasible is expected).
+    dataset is a ReferenceDataset (or a dataset id string) whose meta names
+    the gripper preset and, for rows without object fields, the object.
+    Agreement compares the predicted verdict against the recorded success
+    rate (>= 50% means the trials mostly succeeded, so Feasible is expected).
     """
     from . import expio
 
     if isinstance(dataset, str):
         dataset = expio.load_reference_dataset(dataset)
-    if gripper is None:
-        gripper = GripperGeometry.from_name("4in")
+    if "gripper" not in dataset.meta:
+        raise DomainError(f"dataset {dataset.id!r} has no feasibility interpretation")
+    gripper = GripperGeometry.from_name(dataset.meta["gripper"])
 
     rows = []
-    if dataset.id == "table2_objects":
-        for record in dataset.rows:
-            obj = ObjectDescriptor(
-                shape_class=ShapeClass(record["shape_class"]),
-                height=record["height_mm"] / 1000.0,
-                diameter=record["diameter_mm"] / 1000.0,
-                mass=record["mass_g"] / 1000.0,
-                label=record["name"],
-            )
-            outcome = grasp_feasibility(GraspScenario(gripper=gripper, obj=obj))
-            rows.append(ValidationRow(
-                label=record["name"],
-                predicted=outcome.verdict,
-                expected=_expected_verdict(record["success_rate"]),
-                success_rate=record["success_rate"],
-            ))
-    elif dataset.id == "table3_submersion":
-        egg = dataset.meta["object"]
-        obj = ObjectDescriptor(
-            shape_class=ShapeClass(egg["shape_class"]),
-            height=egg["height_mm"] / 1000.0,
-            diameter=egg["diameter_mm"] / 1000.0,
-            mass=egg["mass_g"] / 1000.0,
-            label=egg["name"],
-        )
-        for record in dataset.rows:
-            scenario = GraspScenario(
-                gripper=gripper, obj=obj,
-                submersion_fraction=record["submersion_fraction"],
-            )
-            outcome = grasp_feasibility(scenario)
-            rows.append(ValidationRow(
-                label=f"submersion {record['submersion_fraction']:.0%}",
-                predicted=outcome.verdict,
-                expected=_expected_verdict(record["success_rate"]),
-                success_rate=record["success_rate"],
-            ))
-    else:
-        raise DomainError(f"dataset {dataset.id!r} has no feasibility interpretation")
+    for record in dataset.rows:
+        doc = {**dataset.meta.get("object", {}), **record}
+        submersion = doc.get("submersion_fraction", 0.0)
+        scenario = GraspScenario(gripper=gripper, obj=_reference_object(doc),
+                                 submersion_fraction=submersion)
+        rows.append(ValidationRow(
+            label=f"submersion {submersion:.0%}" if "submersion_fraction" in doc else doc["name"],
+            predicted=grasp_feasibility(scenario).verdict,
+            expected=_expected_verdict(doc["success_rate"]),
+            success_rate=doc["success_rate"],
+        ))
     return ValidationReport(dataset_id=dataset.id, rows=tuple(rows))

@@ -75,28 +75,6 @@ class PressureDistribution:
         if self.p_bottom < 0 or self.p_top < 0:
             raise DomainError("line pressures must be >= 0")
 
-    def bottom_components(self, alpha):
-        """(vertical, horizontal) components of the bottom-half pressure."""
-        return pressure_components(self.p_bottom, alpha)
-
-    def top_components(self, alpha):
-        """(vertical, horizontal) components of the top-half pressure."""
-        return pressure_components(self.p_top, alpha)
-
-
-@dataclass(frozen=True)
-class EquilibriumCheck:
-    """Vertical force-balance result: residual of m*g minus the skin support."""
-
-    gravity_accel: float
-    residual_force: float
-
-    def balanced(self, weight, rel_tol=1e-6):
-        """True if |residual| < rel_tol * weight (weight = m*g, N)."""
-        if weight == 0.0:
-            return abs(self.residual_force) <= rel_tol
-        return abs(self.residual_force) < rel_tol * abs(weight)
-
 
 def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
     """Closed-form bottom-half line pressure p_b = 3mg / (4 pi (1+k) r^2), N/m."""
@@ -185,9 +163,3 @@ def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_D
         dist.p_bottom * (a + k * b) + dist.p_top * (-a + k * b)
     )
     return obj.mass * g - support
-
-
-def check_equilibrium(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_DEFAULT):
-    """Convenience wrapper returning an EquilibriumCheck record."""
-    residual = equilibrium_residual(obj, fric, dist, g=g, n_intervals=n_intervals)
-    return EquilibriumCheck(gravity_accel=g, residual_force=residual)

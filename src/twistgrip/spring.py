@@ -9,6 +9,7 @@ so the individual k0, V_s, h0 never need to be known.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,58 +24,47 @@ REFINE_ROUNDS = 40
 
 @dataclass(frozen=True)
 class SkinSpec:
-    """Skin geometry and two-zone stiffness parameters.
+    """Two-zone skin spring: slopes S1 < S2 in N per unit strain, breakpoint in strain.
 
-    skin_volume in m^3, skin_height in m, base_stiffness in N/m per m^2;
-    zone1_coeff / zone2_coeff are the dimensionless stiffness multipliers of
-    the soft and stiff zones; transition_strain is the zone breakpoint as a
-    fraction of skin_height.
+    Load is S1 * strain up to the breakpoint and continues with slope S2
+    above it. Use from_geometry when the physical skin parameters are known.
     """
 
-    skin_volume: float
-    skin_height: float
-    base_stiffness: float
-    zone1_coeff: float
-    zone2_coeff: float
-    transition_strain: float
+    slope1: float
+    slope2: float
+    breakpoint: float
 
     def __post_init__(self):
-        for name in ("skin_volume", "skin_height", "base_stiffness",
-                     "zone1_coeff", "zone2_coeff", "transition_strain"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-        if self.zone2_coeff <= self.zone1_coeff:
-            raise DomainError(
-                "zone2_coeff must exceed zone1_coeff (the skin stiffens with load)"
-            )
+        _require_positive(slope1=self.slope1, slope2=self.slope2, breakpoint=self.breakpoint)
+        if self.slope2 <= self.slope1:
+            raise DomainError("slope2 must exceed slope1 (the skin stiffens with load)")
 
     @classmethod
-    def from_slopes(cls, slope1, slope2, transition_strain):
-        """Build a spec from lumped slopes S1, S2 (N per unit strain)."""
-        return cls(
-            skin_volume=1.0,
-            skin_height=1.0,
-            base_stiffness=1.0,
-            zone1_coeff=slope1,
-            zone2_coeff=slope2,
-            transition_strain=transition_strain,
-        )
+    def from_slopes(cls, slope1, slope2, breakpoint):
+        """Build a spec from lumped slopes S1, S2 (N per unit strain) and the breakpoint."""
+        return cls(slope1, slope2, breakpoint)
 
-    @property
-    def cross_section(self):
-        """Equivalent spring cross-section A = V_s / h0, m^2."""
-        return self.skin_volume / self.skin_height
+    @classmethod
+    def from_geometry(cls, skin_volume, skin_height, base_stiffness,
+                      zone1_coeff, zone2_coeff, transition_strain):
+        """Build a spec from the physical skin: S_i = k_i * k0 * V_s / h0.
 
-    @property
-    def slope1(self):
-        """Effective soft-zone slope S1 = k1 * k0 * V_s / h0, N per unit strain."""
-        return self.zone1_coeff * self.base_stiffness * self.cross_section
+        skin_volume V_s in m^3, skin_height h0 in m, base_stiffness k0 in N/m
+        per m^2; zone1_coeff / zone2_coeff are the dimensionless multipliers
+        k1 < k2; transition_strain is the breakpoint as a fraction of h0.
+        """
+        _require_positive(skin_volume=skin_volume, skin_height=skin_height,
+                          base_stiffness=base_stiffness, zone1_coeff=zone1_coeff,
+                          zone2_coeff=zone2_coeff)
+        cross_section = skin_volume / skin_height
+        return cls(zone1_coeff * base_stiffness * cross_section,
+                   zone2_coeff * base_stiffness * cross_section, transition_strain)
 
-    @property
-    def slope2(self):
-        """Effective stiff-zone slope S2 = k2 * k0 * V_s / h0, N per unit strain."""
-        return self.zone2_coeff * self.base_stiffness * self.cross_section
+
+def _require_positive(**values):
+    for name, value in values.items():
+        if not math.isfinite(value) or value <= 0:
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,11 +125,7 @@ class ZoneFit:
 
     def predict(self, strain):
         """Piecewise-linear load at the given strain, N."""
-        if strain < 0:
-            raise DomainError(f"strain must be >= 0, got {strain}")
-        if strain <= self.breakpoint:
-            return self.slope1 * strain
-        return self.slope1 * self.breakpoint + self.slope2 * (strain - self.breakpoint)
+        return predict_load(strain, self)
 
     def is_extrapolating(self, strain):
         """True when predicting beyond the strain range used for the fit."""
@@ -150,11 +136,11 @@ def predict_load(strain, spec):
     """Load carried by the skin at the given normalized strain, N.
 
     Continuous piecewise-linear: S1*strain in the soft zone, then
-    S1*t + S2*(strain - t) above the transition strain t.
+    S1*t + S2*(strain - t) above the breakpoint t of spec (a SkinSpec or ZoneFit).
     """
-    if not np.isfinite(strain) or strain < 0:
+    if not math.isfinite(strain) or strain < 0:
         raise DomainError(f"strain must be >= 0 and finite, got {strain!r}")
-    t = spec.transition_strain
+    t = spec.breakpoint
     if strain <= t:
         return spec.slope1 * strain
     return spec.slope1 * t + spec.slope2 * (strain - t)
@@ -162,12 +148,12 @@ def predict_load(strain, spec):
 
 def predict_strain(load, spec):
     """Exact inverse of predict_load; the piecewise map is strictly increasing."""
-    if not np.isfinite(load) or load < 0:
+    if not math.isfinite(load) or load < 0:
         raise DomainError(f"load must be >= 0 and finite, got {load!r}")
-    load_at_transition = spec.slope1 * spec.transition_strain
+    load_at_transition = spec.slope1 * spec.breakpoint
     if load <= load_at_transition:
         return load / spec.slope1
-    return spec.transition_strain + (load - load_at_transition) / spec.slope2
+    return spec.breakpoint + (load - load_at_transition) / spec.slope2
 
 
 def estimate_object_mass(strain, spec, g=G_DEFAULT):
@@ -190,7 +176,7 @@ def _segment_lstsq(strains, loads, breakpoint):
     return coef[0], coef[1], float(residuals @ residuals)
 
 
-def fit_zones(curve, degenerate_rtol=DEGENERATE_SLOPE_RTOL):
+def fit_zones(curve):
     """Fit the two-zone model to a payload curve.
 
     Breakpoint search: exhaustive scan over interior sample strains, then
@@ -234,7 +220,7 @@ def fit_zones(curve, degenerate_rtol=DEGENERATE_SLOPE_RTOL):
     else:
         rms = 0.0
 
-    degenerate = abs(slope2 - slope1) <= degenerate_rtol * max(abs(slope1), abs(slope2))
+    degenerate = abs(slope2 - slope1) <= DEGENERATE_SLOPE_RTOL * max(abs(slope1), abs(slope2))
     if not degenerate and (slope1 <= 0 or slope2 <= 0):
         raise FitError(
             f"fit produced non-positive slopes ({slope1:.4g}, {slope2:.4g}); "

@@ -22,6 +22,8 @@ VIEW_WIDTH_DEFAULT = 0.05  # m of inner wall spanned by the image width
 BINARIZE_THRESHOLD_DEFAULT = 128
 MERGED_AREA_FACTOR = 2.5
 GATE_DIAMETER_FACTOR = 3.0
+CONTACT_THRESHOLD_PX = 1.0
+MIN_VISIBLE = 1
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -235,13 +237,13 @@ def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):
     return TactileFrame(pixels=binary, timestamp=frame.timestamp)
 
 
-def detect_markers(binary, min_area=5, expected_area=None, merged_factor=MERGED_AREA_FACTOR):
+def detect_markers(binary, min_area=5, expected_area=None):
     """Extract marker blobs from a binary frame.
 
     8-connected component labeling; the centroid is the mean of member pixel
     coordinates (sub-pixel). Components below min_area are dropped;
-    components above merged_factor * expected_area (when given) are flagged
-    merged.
+    components above MERGED_AREA_FACTOR * expected_area (when given) are
+    flagged merged.
     """
     mask = binary.pixels > 0
     labels, n_components = ndimage.label(mask, structure=_EIGHT_CONNECTED)
@@ -253,7 +255,7 @@ def detect_markers(binary, min_area=5, expected_area=None, merged_factor=MERGED_
             area = int(area)
             if area < min_area:
                 continue
-            merged = expected_area is not None and area > merged_factor * expected_area
+            merged = expected_area is not None and area > MERGED_AREA_FACTOR * expected_area
             detections.append(Detection(centroid=(float(cx), float(cy)), area=area, merged=merged))
     detections.sort(key=lambda d: (d.centroid[1], d.centroid[0]))
     return MarkerSet(detections=tuple(detections))
@@ -298,12 +300,12 @@ def track(prev, curr, gate):
     )
 
 
-def contact_summary(field, air_support_kpa=0.0, contact_threshold_px=1.0, min_visible=1):
+def contact_summary(field, air_support_kpa=0.0):
     """Displacement statistics plus a coarse contact label.
 
-    Label is idle below the mean-displacement threshold (or with too few
-    visible markers), contact above it, and contact-with-air when air support
-    is active.
+    Label is idle below CONTACT_THRESHOLD_PX mean displacement (or with fewer
+    than MIN_VISIBLE visible markers), contact above it, and contact-with-air
+    when air support is active.
     """
     vectors = field.vectors()
     visible = len(field.matches) + len(field.unmatched_current)
@@ -314,7 +316,7 @@ def contact_summary(field, air_support_kpa=0.0, contact_threshold_px=1.0, min_vi
     else:
         mean_mag = 0.0
         variance = 0.0
-    in_contact = mean_mag >= contact_threshold_px and visible >= min_visible
+    in_contact = mean_mag >= CONTACT_THRESHOLD_PX and visible >= MIN_VISIBLE
     if not in_contact:
         label = "idle"
     elif air_support_kpa > 0:

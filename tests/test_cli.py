@@ -79,6 +79,13 @@ class TestSpringCommands:
         assert code == 0
         assert json.loads(out)["strain"] == pytest.approx(0.5)
 
+    def test_predict_softening_slopes_exit_2_naming_slopes(self, capsys):
+        code, _, err = run(capsys, ["spring", "predict", "--slope1", "400", "--slope2", "100",
+                                    "--breakpoint", "0.4", "--strain", "0.5"])
+        assert code == 2
+        assert "slope1" in err and "slope2" in err
+        assert "zone" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["spring", "fit", "--in", str(tmp_path / "nope.csv")])
         assert code == 2
@@ -127,6 +134,24 @@ class TestGraspCommands:
         assert doc["verdict"] == "Infeasible"
         assert doc["reason"] == "FlatObject"
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "diameter_m": 0.05,'
+         ' "mass_kg": 0.1}}', "object.height_m"),
+        ('{"gripper": "4in", "object": {', "invalid JSON"),
+        ('{"gripper": "4in", "object": {"shape_class": "blob", "height_m": 0.05,'
+         ' "diameter_m": 0.05, "mass_kg": 0.1}}', "object.shape_class"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": "tall",'
+         ' "diameter_m": 0.05, "mass_kg": 0.1}}', "not supported"),
+    ], ids=["missing-key", "invalid-json", "unknown-shape-class", "wrong-type"])
+    def test_malformed_scenario_exits_2_naming_file_and_key(self, capsys, tmp_path, text, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        code, out, err = run(capsys, ["grasp", "simulate", "--scenario", str(path)])
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and key in err
+        assert "internal error" not in err
+
 
 class TestTactileCommands:
     def test_render_detect_track_summarize(self, capsys, tmp_path):
@@ -154,6 +179,14 @@ class TestTactileCommands:
                                     "--air-support", "3", "--json"])
         assert code == 0
         assert json.loads(out)["label"] == "contact-with-air"
+
+    @pytest.mark.parametrize("grid", ["5x", "x5", "5", "0x5", "5x5x5", "axb"])
+    def test_render_malformed_grid_exits_2(self, capsys, tmp_path, grid):
+        code, _, err = run(capsys, ["tactile", "render", "--grid", grid,
+                                    "--out", str(tmp_path / "f.pgm")])
+        assert code == 2
+        assert "--grid" in err and "CxR" in err
+        assert not (tmp_path / "f.pgm").exists()
 
     def test_render_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.pgm"

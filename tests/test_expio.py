@@ -125,16 +125,12 @@ class TestRatiosAndConversions:
         assert round(expio.newtons_to_kgf(328.7), 2) == 33.51
 
     def test_zero_converts_to_zero(self):
-        assert expio.newtons_kgf_convert(0.0, "to_kgf") == 0.0
+        assert expio.newtons_to_kgf(0.0) == 0.0
 
     def test_round_trip_identity(self):
         value = 328.7
         back = expio.kgf_to_newtons(expio.newtons_to_kgf(value))
         assert back == pytest.approx(value, rel=1e-12)
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(DomainError):
-            expio.newtons_kgf_convert(1.0, "sideways")
 
 
 class TestPlots:

@@ -9,7 +9,6 @@ from twistgrip.pressure import (
     PressureDistribution,
     SphericalObject,
     _support_integral,
-    check_equilibrium,
     equilibrium_residual,
     line_pressure_closed_form,
     line_pressure_quadrature,
@@ -45,9 +44,8 @@ class TestDomainTypes:
             PressureDistribution(p_bottom=-1.0)
 
     def test_component_norm_preserved(self):
-        dist = PressureDistribution(p_bottom=7.0)
         for alpha in np.linspace(0.0, math.pi / 2, 11):
-            pv, ph = dist.bottom_components(alpha)
+            pv, ph = pressure_components(7.0, alpha)
             assert pv * pv + ph * ph == pytest.approx(49.0, rel=1e-12)
 
 
@@ -160,12 +158,6 @@ class TestEquilibrium:
             DURABILITY_BALL, FRIC_HALF, PressureDistribution(p_bottom=p, p_top=p / 10.0)
         )
         assert res1 > res0 + 1e-6
-
-    def test_check_equilibrium_wrapper(self):
-        p = line_pressure_closed_form(DURABILITY_BALL, FRIC_HALF)
-        check = check_equilibrium(DURABILITY_BALL, FRIC_HALF, PressureDistribution(p_bottom=p))
-        assert check.gravity_accel == 9.81
-        assert check.balanced(DURABILITY_BALL.mass * 9.81)
 
 
 GRID_MASSES = np.linspace(0.01, 5.0, 10)

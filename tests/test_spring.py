@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twistgrip.errors import DomainError, FitError, ValidationError
 from twistgrip.spring import (
@@ -23,20 +27,28 @@ def synthetic_curve(spec, n=50, max_strain=1.0):
 
 class TestSkinSpec:
     def test_stiff_zone_must_be_stiffer(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="slope2 must exceed slope1"):
             SkinSpec.from_slopes(400.0, 100.0, 0.4)
 
+    @pytest.mark.parametrize("field,bad", [("slope1", 0.0), ("slope2", float("inf")),
+                                           ("breakpoint", float("nan"))])
+    def test_slopes_and_breakpoint_validated_by_name(self, field, bad):
+        values = {"slope1": 100.0, "slope2": 400.0, "breakpoint": 0.4, field: bad}
+        with pytest.raises(DomainError, match=field):
+            SkinSpec(**values)
+
     def test_positive_parameters_required(self):
-        with pytest.raises(DomainError):
-            SkinSpec(skin_volume=0.0, skin_height=1.0, base_stiffness=1.0,
-                     zone1_coeff=1.0, zone2_coeff=2.0, transition_strain=0.4)
+        with pytest.raises(DomainError, match="skin_volume"):
+            SkinSpec.from_geometry(skin_volume=0.0, skin_height=1.0, base_stiffness=1.0,
+                                   zone1_coeff=1.0, zone2_coeff=2.0, transition_strain=0.4)
 
     def test_lumped_slopes_unbundle(self):
-        spec = SkinSpec(skin_volume=2e-5, skin_height=0.05, base_stiffness=5e5,
-                        zone1_coeff=0.5, zone2_coeff=2.0, transition_strain=0.4)
-        assert spec.cross_section == pytest.approx(4e-4)
+        spec = SkinSpec.from_geometry(skin_volume=2e-5, skin_height=0.05, base_stiffness=5e5,
+                                      zone1_coeff=0.5, zone2_coeff=2.0, transition_strain=0.4)
+        # cross-section V_s / h0 = 4e-4 m^2
         assert spec.slope1 == pytest.approx(0.5 * 5e5 * 4e-4)
         assert spec.slope2 == pytest.approx(4.0 * spec.slope1)
+        assert spec.breakpoint == 0.4
 
 
 class TestPayloadCurve:
@@ -152,3 +164,33 @@ class TestFitZones:
         assert fit.predict(0.5) == pytest.approx(80.0, rel=1e-6)
         assert not fit.is_extrapolating(0.9)
         assert fit.is_extrapolating(1.5)
+
+    @pytest.mark.parametrize("strain", [float("nan"), float("inf"), -0.1])
+    def test_fit_predict_rejects_non_finite_and_negative_strain(self, strain):
+        fit = fit_zones(synthetic_curve(SPEC))
+        with pytest.raises(DomainError):
+            fit.predict(strain)
+
+
+slopes = st.floats(min_value=1e-3, max_value=1e6)
+breakpoints = st.floats(min_value=1e-3, max_value=10.0)
+strains = st.floats(min_value=0.0, max_value=20.0)
+
+
+def assert_round_trip(strain, spec):
+    back = predict_strain(predict_load(strain, spec), spec)
+    assert math.isclose(back, strain, rel_tol=1e-12, abs_tol=0.0)
+
+
+@given(s1=slopes, ratio=st.floats(min_value=1.001, max_value=1e3), bp=breakpoints, strain=strains)
+def test_spec_map_inverts_exactly(s1, ratio, bp, strain):
+    assert_round_trip(strain, SkinSpec(s1, s1 * ratio, bp))
+
+
+@settings(max_examples=25, deadline=None)
+@given(s1=st.floats(min_value=1.0, max_value=1e4), ratio=st.floats(min_value=1.2, max_value=50.0),
+       bp=st.floats(min_value=0.1, max_value=0.9), strain=st.floats(min_value=0.0, max_value=2.0))
+def test_fit_map_inverts_exactly(s1, ratio, bp, strain):
+    fit = fit_zones(synthetic_curve(SkinSpec(s1, s1 * ratio, bp), n=20))
+    assume(not fit.degenerate)
+    assert_round_trip(strain, fit)
