@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import expio, grasp, pressure, spring, tactile
-from .errors import DomainError, ParseError, TwistgripError, ValidationError
+from .errors import ParseError, TwistgripError, ValidationError, require_key
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -31,40 +31,37 @@ def _emit(payload, as_json, human_lines):
             print(line)
 
 
-def _load_scenario(path):
-    """Read a scenario JSON document; a malformed one raises an error naming the file and key."""
+def _from_json_file(path, build):
+    """build(doc) for the JSON document in path; a malformed file raises an error naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, deep nesting, oversized integer
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return build(doc)
+    except (TwistgripError, TypeError) as exc:  # missing key, out-of-range or wrongly typed value
+        raise ValidationError(f"{path}: {exc}") from exc
 
-    def required(*keys):
-        value = doc
-        for depth, key in enumerate(keys, start=1):
-            if not isinstance(value, dict) or key not in value:
-                raise ValidationError(f"{path}: missing key {'.'.join(keys[:depth])!r}")
-            value = value[key]
-        return value
 
-    gripper = required("gripper")
-    shape, height, diameter, mass = (
-        required("object", key) for key in ("shape_class", "height_m", "diameter_m", "mass_kg"))
+def _scenario_from_json(doc):
+    gripper = require_key(doc, "gripper")
+    shape, height, diameter, mass = (require_key(doc, "object", key) for key in
+                                     ("shape_class", "height_m", "diameter_m", "mass_kg"))
     shapes = [c.value for c in grasp.ShapeClass]
     if shape not in shapes:
-        raise ValidationError(f"{path}: object.shape_class {shape!r} is not one of {shapes}")
-    try:
-        return grasp.GraspScenario(
-            gripper=(grasp.GripperGeometry.from_name(gripper) if isinstance(gripper, str)
-                     else grasp.GripperGeometry(**gripper)),
-            obj=grasp.ObjectDescriptor(grasp.ShapeClass(shape), height, diameter, mass,
-                                       label=doc["object"].get("label", "")),
-            submersion_fraction=doc.get("submersion_fraction", 0.0),
-            inside_petal_region=doc.get("inside_petal_region", True),
-            agitated_approach=doc.get("agitated_approach", False),
-        )
-    except (DomainError, TypeError) as exc:  # out-of-range or wrongly typed values
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ValidationError(f"object.shape_class {shape!r} is not one of {shapes}")
+    return grasp.GraspScenario(
+        gripper=(grasp.GripperGeometry.from_name(gripper) if isinstance(gripper, str)
+                 else grasp.GripperGeometry(**gripper)),
+        obj=grasp.ObjectDescriptor(grasp.ShapeClass(shape), height, diameter, mass,
+                                   label=doc["object"].get("label", "")),
+        submersion_fraction=doc.get("submersion_fraction", 0.0),
+        inside_petal_region=doc.get("inside_petal_region", True),
+        agitated_approach=doc.get("agitated_approach", False),
+    )
 
 
 def _pressure_cross_check(args, g, n_intervals):
@@ -142,7 +139,7 @@ def cmd_spring_predict(args):
 
 
 def cmd_grasp_simulate(args):
-    scenario = _load_scenario(args.scenario)
+    scenario = _from_json_file(args.scenario, _scenario_from_json)
     outcome = grasp.grasp_feasibility(scenario)
     payload = {
         "verdict": outcome.verdict.value,
@@ -191,8 +188,7 @@ def cmd_grasp_validate(args):
 
 def _load_layout(args):
     if args.layout:
-        with open(args.layout, "r", encoding="utf-8") as fh:
-            return tactile.MarkerLayout.from_json(json.load(fh))
+        return _from_json_file(args.layout, tactile.MarkerLayout.from_json)
     cols, _, rows = args.grid.partition("x")
     if not (cols.isdecimal() and rows.isdecimal() and int(cols) > 0 and int(rows) > 0):
         raise ValidationError(f"--grid must have the form CxR with positive integers, "

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package."""
+import math
 
 
 class TwistgripError(Exception):
@@ -19,3 +20,37 @@ class ParseError(TwistgripError, ValueError):
 
 class FitError(TwistgripError, RuntimeError):
     """A fitting routine cannot produce a result from the given data."""
+
+
+def require_positive(**values):
+    """Raise DomainError naming the first value that is not a finite number > 0."""
+    for name, value in values.items():
+        try:
+            if 0 < value < math.inf:
+                continue
+        except TypeError:  # a JSON string or null names the field like NaN does
+            pass
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_non_negative(**values):
+    """Raise DomainError naming the first value that is not a finite number >= 0."""
+    for name, value in values.items():
+        try:
+            if 0 <= value < math.inf:
+                continue
+        except TypeError:
+            pass
+        raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
+def require_key(doc, *keys):
+    """Value at a key path in parsed JSON; a missing step raises ValidationError naming the path."""
+    value = doc
+    for depth, key in enumerate(keys, start=1):
+        try:
+            value = value[key]
+        except (KeyError, IndexError, TypeError):
+            path = ".".join(str(k) for k in keys[:depth])
+            raise ValidationError(f"missing key {path!r}") from None
+    return value

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError, require_non_negative, require_positive
 from .pressure import G_DEFAULT
 from .spring import PayloadCurve
 
@@ -81,12 +81,11 @@ def read_payload_csv(path, strain_unit="fraction", skin_height=None):
     """
     if strain_unit not in ("fraction", "absolute"):
         raise DomainError(f"strain_unit must be 'fraction' or 'absolute', got {strain_unit!r}")
-    if strain_unit == "absolute" and (skin_height is None or skin_height <= 0):
-        raise DomainError("absolute strain unit requires a positive skin_height")
 
     strains, loads = [], []
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes survive as escapes, so they fail the header or number parse below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -127,10 +126,8 @@ def write_payload_csv(curve, path):
 
 def payload_to_weight_ratio(max_payload_kgf, gripper_weight_kg):
     """Payload-to-weight ratio in percent: 100 * payload / weight."""
-    if gripper_weight_kg <= 0:
-        raise DomainError(f"gripper weight must be > 0, got {gripper_weight_kg}")
-    if max_payload_kgf < 0:
-        raise DomainError(f"payload must be >= 0, got {max_payload_kgf}")
+    require_positive(gripper_weight_kg=gripper_weight_kg)
+    require_non_negative(max_payload_kgf=max_payload_kgf)
     return 100.0 * max_payload_kgf / gripper_weight_kg
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, require_non_negative, require_positive
 from .pressure import G_DEFAULT, FrictionModel, SphericalObject, line_pressure_closed_form
 
 INCH = 0.0254
@@ -63,12 +63,11 @@ class GripperGeometry:
     rotation_speed: float = math.pi / 2.0
 
     def __post_init__(self):
-        for name in ("aperture_diameter", "full_close_angle", "rotation_speed"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        require_positive(aperture_diameter=self.aperture_diameter,
+                         full_close_angle=self.full_close_angle, rotation_speed=self.rotation_speed)
 
     @classmethod
-    def from_name(cls, name, **kwargs):
+    def from_name(cls, name):
         """Build from an inch-version preset: '2in', '4in', or '8in'."""
         try:
             aperture = APERTURE_BY_NAME[name]
@@ -76,7 +75,7 @@ class GripperGeometry:
             raise DomainError(
                 f"unknown gripper preset {name!r}; choose from {sorted(APERTURE_BY_NAME)}"
             ) from None
-        return cls(aperture_diameter=aperture, **kwargs)
+        return cls(aperture_diameter=aperture)
 
     def coverage(self, angle):
         """Fraction of the object embraced at rotation angle: linear then saturating."""
@@ -98,10 +97,8 @@ class ObjectDescriptor:
     label: str = ""
 
     def __post_init__(self):
-        if self.height <= 0 or self.diameter <= 0:
-            raise DomainError("object dimensions must be positive")
-        if self.mass < 0:
-            raise DomainError("object mass must be >= 0")
+        require_positive(height=self.height, diameter=self.diameter)
+        require_non_negative(mass=self.mass)
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,7 @@ def step_phase(state, dt, geom, object_in_region=True):
     becomes Holding when coverage saturates. Additive: two steps of dt equal
     one step of 2*dt.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    require_positive(dt=dt)
     phase = state.phase
     angle = state.angle
     if phase is Phase.APPROACHING:
@@ -150,9 +146,10 @@ def step_phase(state, dt, geom, object_in_region=True):
     return PhaseState(phase, angle)
 
 
-def simulate_phases(geom, n_steps=TRACE_STEPS):
-    """Run the machine from rest to Holding; returns [(phase, angle, coverage)]."""
-    dt = geom.full_close_angle / (geom.rotation_speed * n_steps)
+def simulate_phases(geom):
+    """Run from rest to Holding in TRACE_STEPS steps; returns [(phase, angle, coverage)]."""
+    dt = geom.full_close_angle / (geom.rotation_speed * TRACE_STEPS)
+    require_positive(step_angle=geom.rotation_speed * dt)  # a step that underflows never ends
     state = PhaseState()
     trace = [(state.phase.value, state.angle, geom.coverage(state.angle))]
     while state.phase is not Phase.HOLDING:

@@ -18,15 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_non_negative, require_positive
 
 G_DEFAULT = 9.81  # m/s^2
 N_INTERVALS_DEFAULT = 100_000
-
-
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,12 +32,8 @@ class SphericalObject:
     radius: float
 
     def __post_init__(self):
-        _require_finite("mass", self.mass)
-        _require_finite("radius", self.radius)
-        if self.mass < 0:
-            raise DomainError(f"mass must be >= 0, got {self.mass}")
-        if self.radius <= 0:
-            raise DomainError(f"radius must be > 0, got {self.radius}")
+        require_non_negative(mass=self.mass)
+        require_positive(radius=self.radius)
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,6 @@ class FrictionModel:
     k: float
 
     def __post_init__(self):
-        _require_finite("k", self.k)
         if not 0.0 <= self.k < 1.0:
             raise DomainError(f"friction coefficient must satisfy 0 <= k < 1, got {self.k}")
 
@@ -70,17 +60,12 @@ class PressureDistribution:
     p_top: float = 0.0
 
     def __post_init__(self):
-        _require_finite("p_bottom", self.p_bottom)
-        _require_finite("p_top", self.p_top)
-        if self.p_bottom < 0 or self.p_top < 0:
-            raise DomainError("line pressures must be >= 0")
+        require_non_negative(p_bottom=self.p_bottom, p_top=self.p_top)
 
 
 def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
     """Closed-form bottom-half line pressure p_b = 3mg / (4 pi (1+k) r^2), N/m."""
-    _require_finite("g", g)
-    if g < 0:
-        raise DomainError(f"g must be >= 0, got {g}")
+    require_non_negative(g=g)
     return 3.0 * obj.mass * g / (4.0 * math.pi * (1.0 + fric.k) * obj.radius**2)
 
 
@@ -123,9 +108,7 @@ def line_pressure_quadrature(obj, fric, g=G_DEFAULT, n_intervals=N_INTERVALS_DEF
     Independent of the closed form: evaluates p_b = mg / (4 pi I) with I the
     trapezoid approximation of the support integral over x in [0, r].
     """
-    _require_finite("g", g)
-    if g < 0:
-        raise DomainError(f"g must be >= 0, got {g}")
+    require_non_negative(g=g)
     if n_intervals < 2:
         raise DomainError(f"n_intervals must be >= 2, got {n_intervals}")
     integral = _support_integral(obj.radius, fric.k, int(n_intervals))
@@ -138,12 +121,9 @@ def pressure_components(p, alpha):
     alpha is the contact angle in radians, 0 at the equator direction and
     pi/2 at the locking base.
     """
-    _require_finite("p", p)
-    _require_finite("alpha", alpha)
-    if p < 0:
-        raise DomainError(f"line pressure must be >= 0, got {p}")
+    require_non_negative(p=p)
     if not 0.0 <= alpha <= math.pi / 2.0:
-        raise DomainError(f"contact angle must lie in [0, pi/2], got {alpha}")
+        raise DomainError(f"contact angle alpha must lie in [0, pi/2], got {alpha}")
     return p * math.sin(alpha), p * math.cos(alpha)
 
 

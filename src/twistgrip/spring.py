@@ -9,12 +9,11 @@ so the individual k0, V_s, h0 never need to be known.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitError, ValidationError
+from .errors import DomainError, FitError, ValidationError, require_non_negative, require_positive
 from .pressure import G_DEFAULT
 
 DEGENERATE_SLOPE_RTOL = 0.02
@@ -35,7 +34,7 @@ class SkinSpec:
     breakpoint: float
 
     def __post_init__(self):
-        _require_positive(slope1=self.slope1, slope2=self.slope2, breakpoint=self.breakpoint)
+        require_positive(slope1=self.slope1, slope2=self.slope2, breakpoint=self.breakpoint)
         if self.slope2 <= self.slope1:
             raise DomainError("slope2 must exceed slope1 (the skin stiffens with load)")
 
@@ -53,18 +52,12 @@ class SkinSpec:
         per m^2; zone1_coeff / zone2_coeff are the dimensionless multipliers
         k1 < k2; transition_strain is the breakpoint as a fraction of h0.
         """
-        _require_positive(skin_volume=skin_volume, skin_height=skin_height,
-                          base_stiffness=base_stiffness, zone1_coeff=zone1_coeff,
-                          zone2_coeff=zone2_coeff)
+        require_positive(skin_volume=skin_volume, skin_height=skin_height,
+                         base_stiffness=base_stiffness, zone1_coeff=zone1_coeff,
+                         zone2_coeff=zone2_coeff)
         cross_section = skin_volume / skin_height
         return cls(zone1_coeff * base_stiffness * cross_section,
                    zone2_coeff * base_stiffness * cross_section, transition_strain)
-
-
-def _require_positive(**values):
-    for name, value in values.items():
-        if not math.isfinite(value) or value <= 0:
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +87,7 @@ class PayloadCurve:
     @classmethod
     def from_absolute(cls, deflections, loads, skin_height, source=""):
         """Build from absolute deflections (m) by normalizing with skin_height."""
-        if skin_height <= 0:
-            raise DomainError(f"skin_height must be > 0, got {skin_height}")
+        require_positive(skin_height=skin_height)
         strains = np.asarray(deflections, dtype=float) / skin_height
         return cls(strains=tuple(strains), loads=tuple(loads), source=source)
 
@@ -138,8 +130,7 @@ def predict_load(strain, spec):
     Continuous piecewise-linear: S1*strain in the soft zone, then
     S1*t + S2*(strain - t) above the breakpoint t of spec (a SkinSpec or ZoneFit).
     """
-    if not math.isfinite(strain) or strain < 0:
-        raise DomainError(f"strain must be >= 0 and finite, got {strain!r}")
+    require_non_negative(strain=strain)
     t = spec.breakpoint
     if strain <= t:
         return spec.slope1 * strain
@@ -148,8 +139,7 @@ def predict_load(strain, spec):
 
 def predict_strain(load, spec):
     """Exact inverse of predict_load; the piecewise map is strictly increasing."""
-    if not math.isfinite(load) or load < 0:
-        raise DomainError(f"load must be >= 0 and finite, got {load!r}")
+    require_non_negative(load=load)
     load_at_transition = spec.slope1 * spec.breakpoint
     if load <= load_at_transition:
         return load / spec.slope1
@@ -158,8 +148,7 @@ def predict_strain(load, spec):
 
 def estimate_object_mass(strain, spec, g=G_DEFAULT):
     """Object mass inferred from the measured strain: m = P(strain) / g, kg."""
-    if g <= 0:
-        raise DomainError(f"g must be > 0, got {g}")
+    require_positive(g=g)
     return predict_load(strain, spec) / g
 
 
@@ -221,9 +210,9 @@ def fit_zones(curve):
         rms = 0.0
 
     degenerate = abs(slope2 - slope1) <= DEGENERATE_SLOPE_RTOL * max(abs(slope1), abs(slope2))
-    if not degenerate and (slope1 <= 0 or slope2 <= 0):
+    if not np.isfinite([slope1, slope2]).all() or not degenerate and min(slope1, slope2) <= 0:
         raise FitError(
-            f"fit produced non-positive slopes ({slope1:.4g}, {slope2:.4g}); "
+            f"fit produced non-positive or non-finite slopes ({slope1:.4g}, {slope2:.4g}); "
             "curve does not follow the two-zone model"
         )
 

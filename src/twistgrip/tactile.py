@@ -10,14 +10,17 @@ the renderer's ground truth doubles as a test oracle.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .errors import DomainError, ValidationError
+from .errors import (DomainError, ParseError, ValidationError, require_key, require_non_negative,
+                     require_positive)
 
 MARKER_DIAMETER_DEFAULT = 0.002  # m
+GRID_MARGIN = 0.1  # unit-square border left free by MarkerLayout.grid
 VIEW_WIDTH_DEFAULT = 0.05  # m of inner wall spanned by the image width
 BINARIZE_THRESHOLD_DEFAULT = 128
 MERGED_AREA_FACTOR = 2.5
@@ -42,24 +45,17 @@ class MarkerLayout:
         for mid, (u, v) in self.markers:
             if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
                 raise ValidationError(f"marker {mid!r} position outside [0,1]^2")
-        if self.marker_diameter <= 0:
-            raise DomainError("marker_diameter must be positive")
+        require_positive(marker_diameter=self.marker_diameter)
         object.__setattr__(
             self, "markers", tuple((mid, (float(u), float(v))) for mid, (u, v) in self.markers)
         )
 
     @classmethod
-    def grid(cls, n_cols, n_rows, marker_diameter=MARKER_DIAMETER_DEFAULT, margin=0.1):
-        """Regular n_cols x n_rows grid inside the unit square."""
-        us = np.linspace(margin, 1.0 - margin, n_cols)
-        vs = np.linspace(margin, 1.0 - margin, n_rows)
-        markers = []
-        mid = 0
-        for v in vs:
-            for u in us:
-                markers.append((mid, (float(u), float(v))))
-                mid += 1
-        return cls(markers=tuple(markers), marker_diameter=marker_diameter)
+    def grid(cls, n_cols, n_rows):
+        """Regular n_cols x n_rows grid of default-size markers inside the unit square."""
+        us = np.linspace(GRID_MARGIN, 1.0 - GRID_MARGIN, n_cols)
+        vs = np.linspace(GRID_MARGIN, 1.0 - GRID_MARGIN, n_rows)
+        return cls(markers=tuple(enumerate((float(u), float(v)) for v in vs for u in us)))
 
     def to_json(self):
         return {
@@ -69,8 +65,11 @@ class MarkerLayout:
 
     @classmethod
     def from_json(cls, doc):
-        markers = tuple((m["id"], (m["u"], m["v"])) for m in doc["markers"])
-        return cls(markers=markers, marker_diameter=doc["marker_diameter_m"])
+        """Inverse of to_json; a missing key raises ValidationError naming its path."""
+        markers = tuple((require_key(doc, "markers", i, "id"),
+                         tuple(require_key(doc, "markers", i, axis) for axis in "uv"))
+                        for i in range(len(require_key(doc, "markers"))))
+        return cls(markers=markers, marker_diameter=require_key(doc, "marker_diameter_m"))
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,7 @@ class CameraModel:
     view_width: float = VIEW_WIDTH_DEFAULT
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("image dimensions must be positive")
-        if self.view_width <= 0:
-            raise DomainError("view_width must be positive")
+        require_positive(width=self.width, height=self.height, view_width=self.view_width)
 
     @property
     def pixels_per_meter(self):
@@ -115,7 +111,6 @@ class TactileFrame:
     """Single-channel frame; pixels is a (height, width) uint8 array."""
 
     pixels: np.ndarray
-    timestamp: int = 0
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels)
@@ -177,7 +172,7 @@ def marker_pixel_position(layout_pos, camera):
     return u * (camera.width - 1), v * (camera.height - 1)
 
 
-def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0, timestamp=0):
+def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     """Render one frame; returns (frame, ground_truth_sidecar).
 
     Markers are bright anti-aliased discs on a dark background, displaced per
@@ -185,8 +180,10 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0, timestamp
     the image is silently clipped but recorded in the sidecar. Gaussian pixel
     noise is seeded, so identical inputs give bit-identical frames.
     """
-    image = np.zeros((camera.height, camera.width), dtype=float)
+    require_non_negative(noise_sigma=noise_sigma)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
+    require_positive(marker_radius_px=radius_px)  # a finite diameter and scale can overflow
+    image = np.zeros((camera.height, camera.width), dtype=float)
     visible, occluded_ids, clipped_ids = [], [], []
 
     for mid, pos in layout.markers:
@@ -216,9 +213,9 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0, timestamp
         rng = np.random.default_rng(seed)
         image = image + rng.normal(0.0, noise_sigma, size=image.shape)
 
-    frame = TactileFrame(pixels=np.clip(np.rint(image), 0, 255), timestamp=timestamp)
+    frame = TactileFrame(pixels=np.clip(np.rint(image), 0, 255))
     sidecar = {
-        "timestamp": timestamp,
+        "timestamp": 0,
         "marker_radius_px": float(radius_px),
         "visible": visible,
         "occluded": sorted(occluded_ids),
@@ -234,7 +231,7 @@ def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):
     if not 0 <= threshold <= 255:
         raise DomainError(f"threshold must lie in [0, 255], got {threshold}")
     binary = np.where(frame.pixels >= threshold, 255, 0).astype(np.uint8)
-    return TactileFrame(pixels=binary, timestamp=frame.timestamp)
+    return TactileFrame(pixels=binary)
 
 
 def detect_markers(binary, min_area=5, expected_area=None):
@@ -269,8 +266,7 @@ def track(prev, curr, gate):
     disappearance). Symmetric: swapping the arguments pairs the same
     detections with reversed vectors.
     """
-    if gate <= 0:
-        raise DomainError(f"gate must be > 0, got {gate}")
+    require_positive(gate=gate)
     prev_pts = prev.centroids()
     curr_pts = curr.centroids()
     if len(prev_pts) == 0 or len(curr_pts) == 0:
@@ -307,6 +303,7 @@ def contact_summary(field, air_support_kpa=0.0):
     than MIN_VISIBLE visible markers), contact above it, and contact-with-air
     when air support is active.
     """
+    require_non_negative(air_support_kpa=air_support_kpa)
     vectors = field.vectors()
     visible = len(field.matches) + len(field.unmatched_current)
     if len(vectors):
@@ -345,30 +342,25 @@ def write_pgm(frame, path):
         fh.write(frame.pixels.tobytes())
 
 
+# Whitespace and '#' comment lines separate the header fields; nine digits bound int().
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,9})" * 3 + rb"\s")
+
+
 def read_pgm(path):
-    """Read a binary portable graymap written by write_pgm."""
+    """Read a binary graymap written by write_pgm; a malformed file raises ParseError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos] in b" \t\r\n":
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos] not in b" \t\r\n":
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValidationError(f"{path}: not a binary graymap (P5)")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValidationError(f"{path}: expected maxval 255, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ParseError(f"{path}: not a binary graymap (header 'P5 width height maxval')")
+    width, height, maxval = (int(f) for f in header.groups())
+    if maxval != 255 or not width * height:
+        raise ParseError(f"{path}: expected a non-empty frame with maxval 255, "
+                         f"got {width}x{height} with maxval {maxval}")
+    if len(data) - header.end() < width * height:
+        raise ParseError(f"{path}: {width}x{height} frame needs {width * height} pixel bytes, "
+                         f"got {len(data) - header.end()}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=header.end())
     return TactileFrame(pixels=pixels.reshape(height, width).copy())
 
 

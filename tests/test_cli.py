@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistgrip import expio
 from twistgrip.cli import main
@@ -141,8 +145,16 @@ class TestGraspCommands:
         ('{"gripper": "4in", "object": {"shape_class": "blob", "height_m": 0.05,'
          ' "diameter_m": 0.05, "mass_kg": 0.1}}', "object.shape_class"),
         ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": "tall",'
-         ' "diameter_m": 0.05, "mass_kg": 0.1}}', "not supported"),
-    ], ids=["missing-key", "invalid-json", "unknown-shape-class", "wrong-type"])
+         ' "diameter_m": 0.05, "mass_kg": 0.1}}', "height"),
+        ('{"gripper": {"aperture_diameter": 0.1, "rotation_speed": NaN}, "object": {"shape_class":'
+         ' "sphere", "height_m": 0.05, "diameter_m": 0.04, "mass_kg": 0.1}}', "rotation_speed"),
+        ('{"gripper": {"aperture_diameter": 0.1, "full_close_angle": Infinity}, "object":'
+         ' {"shape_class": "sphere", "height_m": 0.05, "diameter_m": 0.04, "mass_kg": 0.1}}',
+         "full_close_angle"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": NaN,'
+         ' "diameter_m": NaN, "mass_kg": 0.1}}', "height"),
+    ], ids=["missing-key", "invalid-json", "unknown-shape-class", "wrong-type",
+            "nan-rotation-speed", "infinite-close-angle", "nan-object"])
     def test_malformed_scenario_exits_2_naming_file_and_key(self, capsys, tmp_path, text, key):
         path = tmp_path / "scenario.json"
         path.write_text(text)
@@ -188,6 +200,40 @@ class TestTactileCommands:
         assert "--grid" in err and "CxR" in err
         assert not (tmp_path / "f.pgm").exists()
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"markers": [', "invalid JSON"),
+        ('{"marker_diameter_m": 0.002}', "'markers'"),
+        ('{"markers": []}', "'marker_diameter_m'"),
+        ('{"marker_diameter_m": 0.002, "markers": [{"u": 0.5, "v": 0.5}]}', "'markers.0.id'"),
+        ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": 0.5, "v": 0.5},'
+         ' {"id": 1, "v": 0.5}]}', "'markers.1.u'"),
+        ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": 0.5}]}', "'markers.0.v'"),
+        ('{"marker_diameter_m": NaN, "markers": []}', "marker_diameter"),
+    ], ids=["invalid-json", "no-markers", "no-diameter", "no-id", "no-u", "no-v", "nan-diameter"])
+    def test_render_malformed_layout_exits_2_naming_file_and_key(self, capsys, tmp_path,
+                                                                   text, key):
+        layout = tmp_path / "layout.json"
+        layout.write_text(text)
+        code, _, err = run(capsys, ["tactile", "render", "--layout", str(layout),
+                                    "--out", str(tmp_path / "f.pgm")])
+        assert code == 2
+        assert str(layout) in err and key in err
+        assert not (tmp_path / "f.pgm").exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda frame: frame[:100],
+        lambda frame: b"P5\n",
+        lambda frame: frame.replace(b"640", b"six", 1),
+    ], ids=["truncated", "header-only", "non-numeric-header"])
+    def test_detect_malformed_pgm_exits_2_naming_file(self, capsys, tmp_path, corrupt):
+        frame = tmp_path / "f.pgm"
+        run(capsys, ["tactile", "render", "--grid", "2x2", "--out", str(frame)])
+        frame.write_bytes(corrupt(frame.read_bytes()))
+        code, out, err = run(capsys, ["tactile", "detect", "--in", str(frame)])
+        assert code == 2
+        assert out == ""
+        assert str(frame) in err and "internal error" not in err
+
     def test_render_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
@@ -195,6 +241,30 @@ class TestTactileCommands:
             run(capsys, ["tactile", "render", "--grid", "4x4", "--out", str(path),
                          "--noise", "8", "--seed", "5"])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["tactile", "track", "--gate", "nan"], "gate"),
+    (["tactile", "summarize", "--air-support", "nan"], "air_support_kpa"),
+    (["tactile", "summarize", "--air-support", "-1"], "air_support_kpa"),
+    (["tactile", "render", "--grid", "2x2", "--view-width", "nan"], "view_width"),
+    (["tactile", "render", "--grid", "2x2", "--noise", "nan"], "noise_sigma"),
+    (["tactile", "render", "--grid", "2x2", "--noise", "-1"], "noise_sigma"),
+    (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
+      "--strain", "0.5", "--g", "nan"], "g"),
+], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan", "noise-nan",
+        "noise-negative", "predict-g-nan"])
+def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, argv, field):
+    frame = tmp_path / "f.pgm"
+    if argv[1] in ("track", "summarize"):
+        run(capsys, ["tactile", "render", "--grid", "2x2", "--out", str(frame)])
+        argv = [*argv, "--prev", str(frame), "--curr", str(frame)]
+    elif argv[1] == "render":
+        argv = [*argv, "--out", str(frame)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {field} must" in err
 
 
 class TestReportCommand:
@@ -216,3 +286,97 @@ class TestDeterminism:
             _, out, _ = run(capsys, ["spring", "fit", "--in", str(synthetic_csv), "--json"])
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+VALID_FILES = {
+    "csv": b"strain,force_n\n0.0,0.0\n0.2,20.0\n0.4,40.0\n0.6,100.0\n0.8,160.0\n",
+    "pgm": b"P5\n6 4\n255\n" + bytes([0, 0, 255, 255, 0, 0] * 4),
+    "scenario": json.dumps({
+        "gripper": {"aperture_diameter": 0.1, "full_close_angle": 6.0, "rotation_speed": 1.5},
+        "object": {"shape_class": "sphere", "height_m": 0.05, "diameter_m": 0.04,
+                   "mass_kg": 0.1, "label": "ball"},
+        "submersion_fraction": 0.1, "inside_petal_region": True, "agitated_approach": False,
+    }).encode(),
+    "layout": json.dumps({"marker_diameter_m": 0.002, "markers": [
+        {"id": 0, "u": 0.2, "v": 0.3}, {"id": 1, "u": 0.7, "v": 0.6}]}).encode(),
+}
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=4)
+
+
+def _key_paths(doc, prefix=()):
+    if not isinstance(doc, (dict, list)):
+        return []
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [path for key, value in children
+            for path in [(*prefix, key), *_key_paths(value, (*prefix, key))]]
+
+
+def _edit_json(text, path, value):
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode()  # writes NaN and Infinity as bare tokens
+
+
+def _splice(data, start, length, insert):
+    return data[:start] + insert + data[start + length:]
+
+
+def malformed(kind):
+    """Malformed `kind` file contents: noise, a cut, a byte splice or, for JSON, one edited key."""
+    valid = VALID_FILES[kind]
+    bytewise = st.one_of(
+        st.binary(max_size=64),
+        st.integers(0, len(valid)).map(lambda cut: valid[:cut]),
+        st.builds(_splice, st.just(valid), st.integers(0, len(valid)), st.integers(0, 4),
+                  st.binary(max_size=4)),
+    )
+    if kind == "csv":
+        number = st.floats().map(repr) | st.text("0123456789.-e", max_size=6)
+        rows = st.lists(st.tuples(number, number).map(",".join), max_size=6)
+        return bytewise | rows.map(lambda lines: "\n".join(["strain,force_n", *lines]).encode())
+    if kind in ("scenario", "layout"):
+        paths = _key_paths(json.loads(valid))
+        return bytewise | st.builds(_edit_json, st.just(valid), st.sampled_from(paths),
+                                    json_values | st.just(DELETE))
+    return bytewise
+
+
+def fuzz_argv(kind, path):
+    out = path.with_suffix(".out")
+    return {
+        "csv": ["spring", "fit", "--in", str(path)],
+        "pgm": ["tactile", "detect", "--in", str(path)],
+        "scenario": ["grasp", "simulate", "--scenario", str(path), "--k", "0.5"],
+        # fixed small frame: size flags allocate without bound, so they are not fuzzed
+        "layout": ["tactile", "render", "--layout", str(path), "--out", str(out),
+                   "--width", "64", "--height", "48"],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_FILES))
+def test_fuzz_malformed_file_exits_0_or_2(kind, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp(f"fuzz-{kind}")
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(contents=malformed(kind))
+    def check(contents):
+        path = workdir / f"input.{kind}"
+        path.write_bytes(contents)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(fuzz_argv(kind, path))
+        assert code in (0, 2), err.getvalue()
+        assert "internal error" not in err.getvalue()
+
+    check()

@@ -159,6 +159,12 @@ class TestFitZones:
         with pytest.raises(FitError):
             fit_zones(PayloadCurve(strains=(0.0, 0.3, 0.6), loads=(0.0, 30.0, 60.0)))
 
+    def test_overflowing_fit_rejected(self):
+        curve = PayloadCurve(strains=(0.0, 1e-300, 2e-300, 3e-300, 4e-300),
+                             loads=(0.0, 1.0, 2.0, 5.0, 1e308))
+        with pytest.raises(FitError, match="non-finite"):
+            fit_zones(curve)
+
     def test_fit_predict_and_extrapolation_flag(self):
         fit = fit_zones(synthetic_curve(SPEC))
         assert fit.predict(0.5) == pytest.approx(80.0, rel=1e-6)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistgrip.errors import DomainError, ValidationError
+from twistgrip.errors import DomainError, ParseError, ValidationError
 from twistgrip.tactile import (
     CameraModel,
     Deformation,
@@ -242,7 +242,7 @@ class TestPgmRoundTrip:
     def test_rejects_non_p5(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError, match="bad.pgm"):
             read_pgm(path)
 
 
