@@ -136,6 +136,7 @@ def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_D
     closed-form value and p_t = 0. Both integrals are trapezoid sums on the
     normalized grid, rescaled by r^2.
     """
+    require_non_negative(g=g)
     r = obj.radius
     k = fric.k
     a, b = _unit_trapezoid_terms(int(n_intervals))

@@ -17,8 +17,6 @@ from .errors import DomainError, FitError, ValidationError, require_non_negative
 from .pressure import G_DEFAULT
 
 DEGENERATE_SLOPE_RTOL = 0.02
-REFINE_POINTS = 21
-REFINE_ROUNDS = 40
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,10 @@ class ZoneFit:
     degenerate: bool = False
     max_fitted_strain: float = field(default=float("nan"))
 
+    def __post_init__(self):
+        require_non_negative(slope1=self.slope1, slope2=self.slope2, breakpoint=self.breakpoint,
+                             rms_relative_error=self.rms_relative_error)
+
     def predict(self, strain):
         """Piecewise-linear load at the given strain, N."""
         return predict_load(strain, self)
@@ -152,69 +154,63 @@ def estimate_object_mass(strain, spec, g=G_DEFAULT):
     return predict_load(strain, spec) / g
 
 
-def _segment_lstsq(strains, loads, breakpoint):
-    """Least squares for the continuous two-segment model through the origin.
-
-    Basis: phi1 = min(s, bp), phi2 = max(s - bp, 0). Returns (s1, s2, sse).
-    """
-    phi1 = np.minimum(strains, breakpoint)
-    phi2 = np.maximum(strains - breakpoint, 0.0)
-    design = np.column_stack([phi1, phi2])
-    coef, _, _, _ = np.linalg.lstsq(design, loads, rcond=None)
-    residuals = loads - design @ coef
-    return coef[0], coef[1], float(residuals @ residuals)
-
-
 def fit_zones(curve):
-    """Fit the two-zone model to a payload curve.
+    """Fit the two-zone model to a payload curve: exact least squares over joins in [s_1, s_(n-2)].
 
-    Breakpoint search: exhaustive scan over interior sample strains, then
-    iterative 10x refinement of the bracketing interval around the best
-    candidate. Continuity at the breakpoint is built into the basis.
+    Continuous-hinge method of D. J. Hudson (JASA 61, 1966): a join inside
+    (s_j, s_(j+1)) is the meeting point c / (S1 - S2) of a line S1*s through the
+    origin left of it and a free line S2*s + c right of it, kept only if it lies
+    inside; otherwise that interval's best join is a sample, fit with the basis
+    min(s, bp), max(s - bp, 0). Prefix sums give every candidate in one pass.
     """
     if len(curve) < 4:
         raise FitError(f"need at least 4 samples to fit two zones, got {len(curve)}")
     strains = np.asarray(curve.strains)
     loads = np.asarray(curve.loads)
 
-    candidates = strains[1:-1]
-    scores = [_segment_lstsq(strains, loads, bp)[2] for bp in candidates]
-    best = int(np.argmin(scores))
+    with np.errstate(all="ignore"):  # empty or degenerate splits become NaN
+        sums = np.cumsum([np.ones_like(strains), strains, strains * strains,
+                          loads, strains * loads], axis=1)
+        l2, lsy = sums[2, 1:-1], sums[4, 1:-1]  # samples 0..j for each j = 1..n-2
+        m, r1, r2, ry, rsy = sums[:, -1:] - sums[:, 1:-1]  # samples j+1..n-1
 
-    lo = candidates[max(best - 1, 0)]
-    hi = candidates[min(best + 1, len(candidates) - 1)]
-    best_bp = candidates[best]
-    best_sse = scores[best]
-    for _ in range(REFINE_ROUNDS):
-        grid = np.linspace(lo, hi, REFINE_POINTS)
-        sses = [_segment_lstsq(strains, loads, bp)[2] for bp in grid]
-        idx = int(np.argmin(sses))
-        if sses[idx] < best_sse:
-            best_sse = sses[idx]
-            best_bp = grid[idx]
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, REFINE_POINTS - 1)]
-        if hi - lo < 1e-12 * max(strains[-1], 1.0):
-            break
+        bp = strains[1:-1]  # join at a sample
+        a11 = l2 + m * bp * bp
+        a12 = bp * (r1 - m * bp)
+        a22 = r2 - 2.0 * bp * r1 + m * bp * bp
+        b1 = lsy + bp * ry
+        b2 = rsy - bp * ry
+        det = a11 * a22 - a12 * a12
+        at_sample = np.array([(a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det, bp])
 
-    slope1, slope2, sse = _segment_lstsq(strains, loads, best_bp)
+        s1 = lsy / l2  # join inside (s_j, s_(j+1)), j = 1..n-3
+        det_r = m * r2 - r1 * r1
+        s2 = (m * rsy - r1 * ry) / det_r
+        c = (r2 * ry - r1 * rsy) / det_r
+        inside = np.array([s1, s2, c / (s1 - s2)])[:, :-1]
+        found = (strains[1:-2] < inside[2]) & (inside[2] < strains[2:-1])
 
-    nonzero = loads > 0
-    if nonzero.any():
-        phi1 = np.minimum(strains, best_bp)
-        phi2 = np.maximum(strains - best_bp, 0.0)
-        predicted = slope1 * phi1 + slope2 * phi2
-        rel = (predicted[nonzero] - loads[nonzero]) / loads[nonzero]
-        rms = float(np.sqrt(np.mean(rel * rel)))
-    else:
-        rms = 0.0
+        candidates = np.concatenate([at_sample, inside], axis=1)
+        explained = np.concatenate([at_sample[0] * b1 + at_sample[1] * b2,
+                                    np.where(found, (s1 * lsy + s2 * rsy + c * ry)[:-1], np.nan)])
+        best = np.argmax(np.where(np.isnan(explained), -np.inf, explained))
+        slope1, slope2, best_bp = candidates[:, best]
 
-    degenerate = abs(slope2 - slope1) <= DEGENERATE_SLOPE_RTOL * max(abs(slope1), abs(slope2))
-    if not np.isfinite([slope1, slope2]).all() or not degenerate and min(slope1, slope2) <= 0:
-        raise FitError(
-            f"fit produced non-positive or non-finite slopes ({slope1:.4g}, {slope2:.4g}); "
-            "curve does not follow the two-zone model"
-        )
+        degenerate = abs(slope2 - slope1) <= DEGENERATE_SLOPE_RTOL * max(abs(slope1), abs(slope2))
+        if not np.isfinite([slope1, slope2]).all() or not degenerate and min(slope1, slope2) <= 0:
+            raise FitError(
+                f"fit produced non-positive or non-finite slopes ({slope1:.4g}, {slope2:.4g}); "
+                "curve does not follow the two-zone model"
+            )
+
+        nonzero = loads > 0
+        if nonzero.any():
+            predicted = (slope1 * np.minimum(strains, best_bp)
+                         + slope2 * np.maximum(strains - best_bp, 0.0))
+            rel = (predicted[nonzero] - loads[nonzero]) / loads[nonzero]
+            rms = float(np.sqrt(np.mean(rel * rel)))
+        else:
+            rms = 0.0
 
     return ZoneFit(
         slope1=float(slope1),

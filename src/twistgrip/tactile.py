@@ -10,6 +10,7 @@ the renderer's ground truth doubles as a test oracle.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -42,9 +43,10 @@ class MarkerLayout:
         ids = [mid for mid, _ in self.markers]
         if len(ids) != len(set(ids)):
             raise ValidationError("marker ids must be unique")
-        for mid, (u, v) in self.markers:
-            if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-                raise ValidationError(f"marker {mid!r} position outside [0,1]^2")
+        for mid, position in self.markers:
+            for axis, value in zip("uv", position):
+                if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+                    raise ValidationError(f"marker {mid!r} {axis} must lie in [0, 1], got {value!r}")
         require_positive(marker_diameter=self.marker_diameter)
         object.__setattr__(
             self, "markers", tuple((mid, (float(u), float(v))) for mid, (u, v) in self.markers)

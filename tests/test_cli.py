@@ -209,7 +209,9 @@ class TestTactileCommands:
          ' {"id": 1, "v": 0.5}]}', "'markers.1.u'"),
         ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": 0.5}]}', "'markers.0.v'"),
         ('{"marker_diameter_m": NaN, "markers": []}', "marker_diameter"),
-    ], ids=["invalid-json", "no-markers", "no-diameter", "no-id", "no-u", "no-v", "nan-diameter"])
+        ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": "a", "v": 0.5}]}', "marker 0 u"),
+    ], ids=["invalid-json", "no-markers", "no-diameter", "no-id", "no-u", "no-v", "nan-diameter",
+            "string-u"])
     def test_render_malformed_layout_exits_2_naming_file_and_key(self, capsys, tmp_path,
                                                                    text, key):
         layout = tmp_path / "layout.json"

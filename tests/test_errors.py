@@ -46,6 +46,9 @@ BOUNDARIES = {
         "g", lambda x: pressure.line_pressure_closed_form(SPHERE, FRICTION, g=x)),
     "line_pressure_quadrature.g": (
         "g", lambda x: pressure.line_pressure_quadrature(SPHERE, FRICTION, g=x)),
+    "equilibrium_residual.g": (
+        "g", lambda x: pressure.equilibrium_residual(
+            SPHERE, FRICTION, pressure.PressureDistribution(p_bottom=1.0), g=x)),
     "pressure_components.p": ("p", lambda x: pressure.pressure_components(x, 0.5)),
     "pressure_components.alpha": ("alpha", lambda x: pressure.pressure_components(1.0, x)),
     "SkinSpec.slope1": ("slope1", lambda x: spring.SkinSpec(x, 400.0, 0.4)),
@@ -61,6 +64,11 @@ BOUNDARIES = {
     "predict_strain.load": ("load", lambda x: spring.predict_strain(x, SPEC)),
     "estimate_object_mass.g": ("g", lambda x: spring.estimate_object_mass(0.5, SPEC, g=x)),
     "ZoneFit.predict.strain": ("strain", lambda x: FIT.predict(x)),
+    **{f"ZoneFit.{name}": (
+        name, lambda x, name=name: spring.ZoneFit(
+            **{"slope1": 100.0, "slope2": 400.0, "breakpoint": 0.4, "rms_relative_error": 0.0,
+               name: x}))
+       for name in ("slope1", "slope2", "breakpoint", "rms_relative_error")},
     **{f"GripperGeometry.{name}": (
         name, lambda x, name=name: grasp.GripperGeometry(
             **{"aperture_diameter": 0.1, name: x}))
