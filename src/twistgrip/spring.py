@@ -140,9 +140,17 @@ def predict_load(strain, spec):
 
 
 def predict_strain(load, spec):
-    """Exact inverse of predict_load; the piecewise map is strictly increasing."""
+    """Exact inverse of predict_load; the piecewise map is strictly increasing.
+
+    A zero slope (a ZoneFit of a flat curve) has no inverse in its zone, so a
+    load in that zone raises DomainError naming the slope.
+    """
     require_non_negative(load=load)
     load_at_transition = spec.slope1 * spec.breakpoint
+    zone_slope = "slope1" if load <= load_at_transition else "slope2"
+    if getattr(spec, zone_slope) == 0:
+        raise DomainError(f"cannot invert load {load!r}: {zone_slope} is 0, so no unique strain "
+                          "gives it")
     if load <= load_at_transition:
         return load / spec.slope1
     return spec.breakpoint + (load - load_at_transition) / spec.slope2

@@ -3,7 +3,7 @@
 Renders grayscale frames of bright marker discs on the inner skin wall under
 a prescribed deformation (per-marker pixel displacement plus occlusion),
 then runs the perception chain: binarize, connected-component marker
-detection with sub-pixel centroids, and mutual-nearest-neighbor displacement
+detection with sub-pixel centroids, and greedy nearest-pair displacement
 tracking between frames. Every stage is deterministic for a fixed seed, so
 the renderer's ground truth doubles as a test oracle.
 """
@@ -199,18 +199,9 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
                 or cy < -radius_px or cy > camera.height - 1 + radius_px):
             clipped_ids.append(mid)
             continue
-        x0 = max(int(np.floor(cx - radius_px - 1)), 0)
-        x1 = min(int(np.ceil(cx + radius_px + 1)), camera.width - 1)
-        y0 = max(int(np.floor(cy - radius_px - 1)), 0)
-        y1 = min(int(np.ceil(cy + radius_px + 1)), camera.height - 1)
-        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-        dist = np.hypot(xs - cx, ys - cy)
-        # 1-px linear edge ramp: symmetric coverage keeps the binary centroid unbiased
-        disc = np.clip(radius_px + 0.5 - dist, 0.0, 1.0) * 255.0
-        patch = image[y0:y1 + 1, x0:x1 + 1]
-        np.maximum(patch, disc, out=patch)
         visible.append({"id": mid, "x": float(cx), "y": float(cy)})
 
+    _stamp_discs(image, np.array([(m["x"], m["y"]) for m in visible]).reshape(-1, 2), radius_px)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         image = image + rng.normal(0.0, noise_sigma, size=image.shape)
@@ -226,6 +217,32 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
         "seed": int(seed),
     }
     return frame, sidecar
+
+
+def _stamp_discs(image, centres, radius_px):
+    """Max-composite one anti-aliased disc per (x, y) centre into image, in place.
+
+    Each disc is evaluated on the window floor(c) +/- (ceil(r) + 2) per axis,
+    clipped to the image; this covers [floor(c - r - 1), ceil(c + r + 1)],
+    outside which the disc value is 0. Discs are stamped in batches whose
+    windows hold at most one image's worth of pixels, so memory stays bounded
+    for any radius and marker count.
+    """
+    height, width = image.shape
+    reach = int(np.ceil(radius_px)) + 2
+    span_x, span_y = min(2 * reach + 1, width), min(2 * reach + 1, height)
+    starts = np.maximum(np.floor(centres) - reach, 0).astype(int)
+    xs = starts[:, 0, None] + np.arange(span_x)
+    ys = starts[:, 1, None] + np.arange(span_y)
+    batch = max(image.size // (span_x * span_y), 1)
+    for b in range(0, len(centres), batch):
+        bx, by = xs[b:b + batch, None, :], ys[b:b + batch, :, None]
+        dist = np.hypot(bx - centres[b:b + batch, 0, None, None],
+                        by - centres[b:b + batch, 1, None, None])
+        # 1-px linear edge ramp: symmetric coverage keeps the binary centroid unbiased
+        disc = np.clip(radius_px + 0.5 - dist, 0.0, 1.0) * 255.0
+        inside = (disc > 0) & (bx < width) & (by < height)
+        np.maximum.at(image.reshape(-1), (by * width + bx)[inside], disc[inside])
 
 
 def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):
@@ -246,55 +263,67 @@ def detect_markers(binary, min_area=5, expected_area=None):
     """
     mask = binary.pixels > 0
     labels, n_components = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+    ys, xs = np.nonzero(labels)
+    members = labels[ys, xs]
+    areas = np.bincount(members, minlength=n_components + 1)[1:]
+    # integer coordinate sums are exact in float64, so the means match center_of_mass
+    mean_x = np.bincount(members, weights=xs, minlength=n_components + 1)[1:] / areas
+    mean_y = np.bincount(members, weights=ys, minlength=n_components + 1)[1:] / areas
     detections = []
-    if n_components:
-        areas = ndimage.sum_labels(mask, labels, index=range(1, n_components + 1))
-        centroids = ndimage.center_of_mass(mask, labels, index=range(1, n_components + 1))
-        for (cy, cx), area in zip(centroids, areas):
-            area = int(area)
-            if area < min_area:
-                continue
-            merged = expected_area is not None and area > MERGED_AREA_FACTOR * expected_area
-            detections.append(Detection(centroid=(float(cx), float(cy)), area=area, merged=merged))
+    for cx, cy, area in zip(mean_x.tolist(), mean_y.tolist(), areas.tolist()):
+        if area < min_area:
+            continue
+        merged = expected_area is not None and area > MERGED_AREA_FACTOR * expected_area
+        detections.append(Detection(centroid=(cx, cy), area=area, merged=merged))
     detections.sort(key=lambda d: (d.centroid[1], d.centroid[0]))
     return MarkerSet(detections=tuple(detections))
 
 
 def track(prev, curr, gate):
-    """Greedy mutual-nearest-neighbor matching within the gate radius (px).
+    """Greedy nearest-pair matching within the gate radius (px).
 
-    Pairs are taken in order of increasing distance, each detection used at
-    most once; leftovers are reported unmatched (marker appearance or
-    disappearance). Symmetric: swapping the arguments pairs the same
-    detections with reversed vectors.
+    Candidate pairs (i, j) of a previous detection i and a current detection j
+    at Euclidean distance d <= gate are taken in the order (d, i, j): by
+    increasing distance, ties broken by the previous index and then by the
+    current index. A pair is kept when neither detection is used yet;
+    leftovers are reported unmatched (marker appearance or disappearance).
+    Matches are listed by previous index. Symmetric: swapping the arguments
+    pairs the same detections with reversed vectors.
     """
     require_positive(gate=gate)
     prev_pts = prev.centroids()
     curr_pts = curr.centroids()
-    if len(prev_pts) == 0 or len(curr_pts) == 0:
-        return DisplacementField(
-            matches=(),
-            unmatched_previous=tuple(range(len(prev_pts))),
-            unmatched_current=tuple(range(len(curr_pts))),
-        )
-    dists = np.linalg.norm(prev_pts[:, None, :] - curr_pts[None, :, :], axis=2)
-    order = np.argsort(dists, axis=None, kind="stable")
-    used_prev, used_curr, matches = set(), set(), []
-    for flat in order:
-        i, j = np.unravel_index(flat, dists.shape)
-        if dists[i, j] > gate:
-            break
-        if i in used_prev or j in used_curr:
+    # x-window per previous detection over the current ones sorted by x; the
+    # reach is one ulp past the gate, so a difference that rounds onto the
+    # gate is still a candidate and the distance test below decides.
+    reach = np.nextafter(gate, np.inf)
+    by_x = np.argsort(curr_pts[:, 0], kind="stable")
+    sorted_x = curr_pts[by_x, 0]
+    lo = np.searchsorted(sorted_x, prev_pts[:, 0] - reach, side="left")
+    counts = np.searchsorted(sorted_x, prev_pts[:, 0] + reach, side="right") - lo
+    i = np.repeat(np.arange(len(prev_pts)), counts)
+    ranks = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = by_x[np.repeat(lo, counts) + ranks]
+    dist = np.linalg.norm(prev_pts[i] - curr_pts[j], axis=1)
+    in_gate = dist <= gate
+    i, j, dist = i[in_gate], j[in_gate], dist[in_gate]
+    order = np.lexsort((j, i, dist))
+    i, j = i[order], j[order]
+    used_prev, used_curr = [False] * len(prev_pts), [False] * len(curr_pts)
+    taken = []
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        if used_prev[a] or used_curr[b]:
             continue
-        used_prev.add(int(i))
-        used_curr.add(int(j))
-        vector = tuple((curr_pts[j] - prev_pts[i]).tolist())
-        matches.append((int(i), int(j), vector))
-    matches.sort(key=lambda m: m[0])
+        used_prev[a] = used_curr[b] = True
+        taken.append(k)
+    taken = np.array(taken, dtype=int)
+    taken = taken[np.argsort(i[taken])]  # each previous index is matched at most once
+    i, j = i[taken], j[taken]
+    vectors = (curr_pts[j] - prev_pts[i]).tolist()
     return DisplacementField(
-        matches=tuple(matches),
-        unmatched_previous=tuple(i for i in range(len(prev_pts)) if i not in used_prev),
-        unmatched_current=tuple(j for j in range(len(curr_pts)) if j not in used_curr),
+        matches=tuple(zip(i.tolist(), j.tolist(), map(tuple, vectors))),
+        unmatched_previous=tuple(np.flatnonzero(np.logical_not(used_prev)).tolist()),
+        unmatched_current=tuple(np.flatnonzero(np.logical_not(used_curr)).tolist()),
     )
 
 

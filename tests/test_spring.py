@@ -10,6 +10,7 @@ from twistgrip.errors import DomainError, FitError, ValidationError
 from twistgrip.spring import (
     PayloadCurve,
     SkinSpec,
+    ZoneFit,
     estimate_object_mass,
     fit_zones,
     predict_load,
@@ -98,6 +99,17 @@ class TestPredict:
     def test_negative_load_rejected(self):
         with pytest.raises(DomainError):
             predict_strain(-5.0, SPEC)
+
+    @pytest.mark.parametrize("fit,load,slope", [
+        (fit_zones(PayloadCurve(strains=tuple(np.linspace(0.0, 0.4, 9)), loads=(0.0,) * 9)),
+         1.0, "slope2"),  # a flat curve fits to zero slopes
+        (ZoneFit(0.0, 0.0, 0.3, 0.0, degenerate=True), 0.0, "slope1"),
+        (ZoneFit(0.0, 100.0, 0.3, 0.0), 0.0, "slope1"),
+        (ZoneFit(100.0, 0.0, 0.3, 0.0), 31.0, "slope2"),
+    ])
+    def test_zero_slope_inversion_rejected(self, fit, load, slope):
+        with pytest.raises(DomainError, match=f"{slope} is 0"):
+            predict_strain(load, fit)
 
     def test_strictly_increasing_and_convex(self):
         strains = np.linspace(0.0, 1.2, 121)
