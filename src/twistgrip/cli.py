@@ -453,6 +453,12 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a well-formed input too large to serve
+        command = " ".join(filter(None, (args.command,
+                                          getattr(args, f"{args.command}_command", None))))
+        print(f"error: {command}: input too large to serve: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (DomainError, ParseError, ValidationError, require_key, require_non_negative,
                      require_positive)
@@ -28,8 +27,6 @@ MERGED_AREA_FACTOR = 2.5
 GATE_DIAMETER_FACTOR = 3.0
 CONTACT_THRESHOLD_PX = 1.0
 MIN_VISIBLE = 1
-
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -253,22 +250,62 @@ def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):
     return TactileFrame(pixels=binary)
 
 
+def _expand_ranges(lo, counts):
+    """Owner k and index of every element of the ranges [lo[k], lo[k] + counts[k])."""
+    owner = np.repeat(np.arange(len(lo)), counts)
+    ranks = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, np.repeat(lo, counts) + ranks
+
+
+def _label_runs(mask):
+    """8-connected components of a 2-D boolean mask, as row runs.
+
+    Returns rows, starts, ends (exclusive) and component numbers of the runs,
+    in raster order. A run touches the runs of the row above that overlap
+    [start - 1, end]; touching runs are merged by min-label hooking plus
+    pointer jumping, so each component's root is its first run. Components
+    are numbered 0, 1, ... in the order of their first runs, which is the
+    raster order ndimage.label numbers them in (He, Chao and Suzuki, IEEE TIP
+    17(5), 2008; Shiloach and Vishkin, J. Algorithms 3(1), 1982).
+    """
+    # in each row of the column-padded mask the changes alternate start, end
+    rows, cols = np.nonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
+    rows, starts, ends = rows[0::2], cols[0::2], cols[1::2]
+    # keys order the runs by (row, column); ends <= width < stride keeps rows apart
+    stride = mask.shape[1] + 1
+    above = (rows - 1) * stride
+    lo = np.searchsorted(rows * stride + ends, above + starts, side="left")
+    counts = np.searchsorted(rows * stride + starts, above + ends, side="right") - lo
+    run, touched = _expand_ranges(lo, counts)
+    parent = np.arange(len(rows))
+    while True:
+        root_a, root_b = parent[run], parent[touched]
+        differ = root_a != root_b
+        if not differ.any():
+            break
+        root_a, root_b = root_a[differ], root_b[differ]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):  # until every run points at its root
+            parent, jumped = jumped, jumped[jumped]
+    is_root = parent == np.arange(len(rows))
+    return rows, starts, ends, (np.cumsum(is_root) - 1)[parent]
+
+
 def detect_markers(binary, min_area=5, expected_area=None):
     """Extract marker blobs from a binary frame.
 
-    8-connected component labeling; the centroid is the mean of member pixel
-    coordinates (sub-pixel). Components below min_area are dropped;
-    components above MERGED_AREA_FACTOR * expected_area (when given) are
-    flagged merged.
+    8-connected component labeling over row runs; the centroid is the mean of
+    member pixel coordinates (sub-pixel). Components below min_area are
+    dropped; components above MERGED_AREA_FACTOR * expected_area (when given)
+    are flagged merged.
     """
-    mask = binary.pixels > 0
-    labels, n_components = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    ys, xs = np.nonzero(labels)
-    members = labels[ys, xs]
-    areas = np.bincount(members, minlength=n_components + 1)[1:]
-    # integer coordinate sums are exact in float64, so the means match center_of_mass
-    mean_x = np.bincount(members, weights=xs, minlength=n_components + 1)[1:] / areas
-    mean_y = np.bincount(members, weights=ys, minlength=n_components + 1)[1:] / areas
+    rows, starts, ends, component = _label_runs(binary.pixels > 0)
+    lengths = ends - starts
+    areas = np.bincount(component, weights=lengths).astype(np.int64)
+    # per-run coordinate sums are integers, exact in float64, so the means match center_of_mass
+    mean_x = np.bincount(component, weights=(starts + ends - 1) * lengths // 2) / areas
+    mean_y = np.bincount(component, weights=rows * lengths) / areas
     detections = []
     for cx, cy, area in zip(mean_x.tolist(), mean_y.tolist(), areas.tolist()):
         if area < min_area:
@@ -301,10 +338,14 @@ def track(prev, curr, gate):
     sorted_x = curr_pts[by_x, 0]
     lo = np.searchsorted(sorted_x, prev_pts[:, 0] - reach, side="left")
     counts = np.searchsorted(sorted_x, prev_pts[:, 0] + reach, side="right") - lo
-    i = np.repeat(np.arange(len(prev_pts)), counts)
-    ranks = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    j = by_x[np.repeat(lo, counts) + ranks]
-    dist = np.linalg.norm(prev_pts[i] - curr_pts[j], axis=1)
+    i, ranked = _expand_ranges(lo, counts)
+    j = by_x[ranked]
+    dx, dy = (prev_pts[i] - curr_pts[j]).T
+    dist_sq = dx * dx + dy * dy
+    dist = np.sqrt(dist_sq)
+    # a gap below about 1e-154 squares to a subnormal or 0; hypot keeps it
+    tiny = dist_sq < np.finfo(float).tiny
+    dist[tiny] = np.hypot(dx[tiny], dy[tiny])
     in_gate = dist <= gate
     i, j, dist = i[in_gate], j[in_gate], dist[in_gate]
     order = np.lexsort((j, i, dist))

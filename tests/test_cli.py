@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistgrip
 from twistgrip import expio
 from twistgrip.cli import main
 from twistgrip.spring import PayloadCurve, SkinSpec, predict_load
@@ -382,3 +388,39 @@ def test_fuzz_malformed_file_exits_0_or_2(kind, tmp_path_factory):
         assert "internal error" not in err.getvalue()
 
     check()
+
+
+# Child processes: each runs the CLI from this checkout's src/, with no user site.
+CHILD_ENV = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONNOUSERSITE": "1",
+             "PYTHONPATH": str(Path(twistgrip.__file__).resolve().parents[1])}
+ADDRESS_SPACE_CAP = 3 * 2**30  # bytes; set in the child only, never in this process
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, twistgrip.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    child = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["tactile", "render", "--grid", "5x5", "--width", "40000", "--height", "40000"],
+     "tactile render"),
+    (["pressure", "--mass", "1", "--radius", "0.1", "--k", "0.5", "--n-intervals", "2000000000"],
+     "pressure"),
+])
+def test_input_too_large_to_serve_exits_2_naming_subcommand(tmp_path, argv, command):
+    if argv[0] == "tactile":
+        argv = [*argv, "--out", str(tmp_path / "big.pgm")]
+    child = subprocess.run([sys.executable, "-m", "twistgrip.cli", *argv], env=CHILD_ENV,
+                           capture_output=True, text=True, timeout=120,
+                           preexec_fn=_cap_address_space)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith(f"error: {command}: ")
+    assert "internal error" not in child.stderr

@@ -17,6 +17,7 @@ from twistgrip.tactile import (
     MarkerLayout,
     MarkerSet,
     TactileFrame,
+    _label_runs,
     binarize,
     contact_summary,
     default_gate,
@@ -364,7 +365,12 @@ def _track_reference(prev, curr, gate):
             unmatched_previous=tuple(range(len(prev_pts))),
             unmatched_current=tuple(range(len(curr_pts))),
         )
-    dists = np.linalg.norm(prev_pts[:, None, :] - curr_pts[None, :, :], axis=2)
+    gaps = prev_pts[:, None, :] - curr_pts[None, :, :]
+    dists = np.linalg.norm(gaps, axis=2)
+    # the one documented change: a squared gap below the smallest normal float is
+    # measured with hypot, so a gap that squares to 0 is not a distance of 0
+    tiny = np.sum(gaps * gaps, axis=2) < np.finfo(float).tiny
+    dists[tiny] = np.hypot(gaps[..., 0], gaps[..., 1])[tiny]
     order = np.argsort(dists, axis=None, kind="stable")
     used_prev, used_curr, matches = set(), set(), []
     for flat in order:
@@ -511,3 +517,73 @@ def test_track_keeps_pair_whose_x_gap_rounds_onto_the_gate():
     prev, curr = _marker_set([(1.0 + 2.0**-52, 0.0)]), _marker_set([(2.0**-53, 0.0)])
     assert len(track(prev, curr, 1.0).matches) == 1
     assert track(prev, curr, 1.0) == _track_reference(prev, curr, 1.0)
+
+
+def test_track_tiny_gate_measures_gaps_that_square_to_zero():
+    # the x-gap is inside the window, the y-gap of 1e-170 squares to 0
+    prev, far = _marker_set([(0.0, 0.0)]), _marker_set([(1e-200, 1e-170)])
+    assert track(prev, far, 1e-200).matches == ()
+    assert track(prev, far, 1e-200) == _track_reference(prev, far, 1e-200)
+    near = _marker_set([(1e-201, 0.0)])
+    assert track(prev, near, 1e-200).matches == ((0, 0, (1e-201, 0.0)),)
+    assert track(prev, near, 1e-200) == _track_reference(prev, near, 1e-200)
+
+
+# Run-based labelling: detect_markers against the ndimage oracle, and the
+# component of every pixel against ndimage.label's.
+
+def _label_image(mask):
+    """Per-pixel component numbers (0 for background, 1, 2, ... in raster order) from the runs."""
+    rows, starts, ends, component = _label_runs(mask)
+    labels = np.zeros(mask.shape, dtype=int)
+    for row, start, end, number in zip(rows, starts, ends, component):
+        labels[row, start:end] = number + 1
+    return labels
+
+
+def assert_labels_match_ndimage(mask):
+    binary = TactileFrame(pixels=mask * 255)
+    assert detect_markers(binary, min_area=1) == _detect_reference(binary, min_area=1)
+    expected, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    assert np.array_equal(_label_image(mask), expected)
+
+
+def _spiral(height, width):
+    """One 1-px path winding inward, a 1-px gap between its turns."""
+    mask = np.zeros((height, width), dtype=bool)
+    y = x = 0
+    mask[0, 0] = True
+    # legs of w-1, h-1, w-1, h-3, w-3, h-5, ... turning clockwise from the top-left corner
+    for k, (dy, dx) in enumerate([(0, 1), (1, 0), (0, -1), (-1, 0)] * max(height, width)):
+        length = (width - 1 if k % 2 == 0 else height - 1) - 2 * max((k - 1) // 2, 0)
+        if length <= 0:
+            break
+        mask[min(y, y + dy * length):max(y, y + dy * length) + 1,
+             min(x, x + dx * length):max(x, x + dx * length) + 1] = True
+        y, x = y + dy * length, x + dx * length
+    return mask
+
+
+YY, XX = np.mgrid[:37, :53]
+LABEL_CASES = {
+    "all-on": np.ones((37, 53), dtype=bool),
+    "all-off": np.zeros((37, 53), dtype=bool),
+    "one-row": np.random.default_rng(1).random((1, 90)) < 0.5,
+    "one-column": np.random.default_rng(2).random((90, 1)) < 0.5,
+    "checkerboard": (YY + XX) % 2 == 0,  # every link is diagonal
+    "comb": (XX % 2 == 0) | (YY == 36),  # teeth joined only by the last row
+    "spiral": _spiral(37, 53),
+    "anti-diagonal-staircases": (XX + 3 * YY) // 3 % 4 == 0,  # 3-px steps touching corner to corner
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_CASES))
+def test_labels_match_ndimage_on_fixed_masks(case):
+    assert_labels_match_ndimage(LABEL_CASES[case])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(height=st.integers(1, 48), width=st.integers(1, 48), density=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_labels_match_ndimage_on_random_masks(height, width, density, seed):
+    assert_labels_match_ndimage(np.random.default_rng(seed).random((height, width)) < density)
