@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input/validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -64,48 +65,36 @@ def _scenario_from_json(doc):
     )
 
 
-def _pressure_cross_check(args, g, n_intervals):
-    """Closed form, quadrature, their relative gap, and equilibrium residual for the args' sphere."""
-    obj = pressure.SphericalObject(mass=args.mass, radius=args.radius)
-    fric = pressure.FrictionModel(k=args.k)
-    closed = pressure.line_pressure_closed_form(obj, fric, g=g)
-    quad = pressure.line_pressure_quadrature(obj, fric, g=g, n_intervals=n_intervals)
-    dist = pressure.PressureDistribution(p_bottom=closed)
-    residual = pressure.equilibrium_residual(obj, fric, dist, g=g)
-    return closed, quad, abs(quad - closed) / closed if closed else 0.0, residual
+# (report metric name, --json key, unit) of each field of a command's result
+_FIT_FIELDS = (
+    ("slope1", "slope1_n_per_strain", "N/strain"),
+    ("slope2", "slope2_n_per_strain", "N/strain"),
+    ("breakpoint", "breakpoint_strain", "strain"),
+    ("rms_relative_error", "rms_relative_error", "1"),
+    ("degenerate", "degenerate", ""),
+    ("max_fitted_strain", "max_fitted_strain", "strain"),
+)
+_PRESSURE_FIELDS = (
+    ("closed_form", "closed_form_n_per_m", "N/m"),
+    ("quadrature", "quadrature_n_per_m", "N/m"),
+    ("relative_difference", "relative_difference", "1"),
+    ("equilibrium_residual", "equilibrium_residual_n", "N"),
+    ("n_intervals", "n_intervals", "1"),
+)
 
 
-def cmd_pressure(args):
-    closed, quad, rel, residual = _pressure_cross_check(args, args.g, args.n_intervals)
-    payload = {
-        "closed_form_n_per_m": closed,
-        "quadrature_n_per_m": quad,
-        "relative_difference": rel,
-        "equilibrium_residual_n": residual,
-        "n_intervals": args.n_intervals,
-    }
-    _emit(payload, args.json, [
-        f"line pressure (closed form): {closed:.6g} N/m",
-        f"line pressure (quadrature, n={args.n_intervals}): {quad:.6g} N/m",
-        f"relative difference: {rel:.3e}",
-        f"equilibrium residual: {residual:.3e} N",
-    ])
-    return EXIT_OK
+def _tabulate(fields, values):
+    """The --json payload and the report metrics of one result, from its field table."""
+    rows = tuple(zip(fields, values, strict=True))
+    return ({key: value for (_, key, _), value in rows},
+            {name: {"value": value, "unit": unit} for (name, _, unit), value in rows})
 
 
-def cmd_spring_fit(args):
-    curve = expio.read_payload_csv(
-        args.infile, strain_unit=args.strain_unit, skin_height=args.skin_height
-    )
-    fit = spring.fit_zones(curve)
-    payload = {
-        "slope1_n_per_strain": fit.slope1,
-        "slope2_n_per_strain": fit.slope2,
-        "breakpoint_strain": fit.breakpoint,
-        "rms_relative_error": fit.rms_relative_error,
-        "degenerate": fit.degenerate,
-        "max_fitted_strain": fit.max_fitted_strain,
-    }
+def _fit_result(fit):
+    """(payload, metrics, human lines) of a two-zone fit."""
+    payload, metrics = _tabulate(_FIT_FIELDS, (
+        fit.slope1, fit.slope2, fit.breakpoint, fit.rms_relative_error,
+        fit.degenerate, fit.max_fitted_strain))
     human = [
         f"soft-zone slope:  {fit.slope1:.6g} N/strain",
         f"stiff-zone slope: {fit.slope2:.6g} N/strain",
@@ -114,11 +103,41 @@ def cmd_spring_fit(args):
     ]
     if fit.degenerate:
         human.append("warning: single slope fits the data; breakpoint is unreliable")
+    return payload, metrics, human
+
+
+def _pressure_result(args, g, n_intervals):
+    """(payload, metrics, human lines) of the line-pressure cross-check for the args' sphere."""
+    obj = pressure.SphericalObject(mass=args.mass, radius=args.radius)
+    fric = pressure.FrictionModel(k=args.k)
+    closed = pressure.line_pressure_closed_form(obj, fric, g=g)
+    quad = pressure.line_pressure_quadrature(obj, fric, g=g, n_intervals=n_intervals)
+    rel = abs(quad - closed) / closed if closed else 0.0
+    residual = pressure.equilibrium_residual(
+        obj, fric, pressure.PressureDistribution(p_bottom=closed), g=g)
+    payload, metrics = _tabulate(_PRESSURE_FIELDS, (closed, quad, rel, residual, n_intervals))
+    return payload, metrics, [
+        f"line pressure (closed form): {closed:.6g} N/m",
+        f"line pressure (quadrature, n={n_intervals}): {quad:.6g} N/m",
+        f"relative difference: {rel:.3e}",
+        f"equilibrium residual: {residual:.3e} N",
+    ]
+
+
+def cmd_pressure(args):
+    payload, _, human = _pressure_result(args, args.g, args.n_intervals)
+    _emit(payload, args.json, human)
+    return EXIT_OK
+
+
+def cmd_spring_fit(args):
+    curve = expio.read_payload_csv(
+        args.infile, strain_unit=args.strain_unit, skin_height=args.skin_height
+    )
+    payload, _, human = _fit_result(spring.fit_zones(curve))
     _emit(payload, args.json, human)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        expio.write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -199,12 +218,9 @@ def _load_layout(args):
 def cmd_tactile_render(args):
     layout = _load_layout(args)
     camera = tactile.CameraModel(width=args.width, height=args.height, view_width=args.view_width)
-    displacements = {}
-    if args.shift:
-        dx, dy = args.shift
-        displacements = {mid: (dx, dy) for mid, _ in layout.markers}
-    occluded = frozenset(args.occlude or [])
-    deformation = tactile.Deformation(displacements=displacements, occluded=occluded)
+    deformation = (tactile.Deformation.uniform_shift(layout, *args.shift) if args.shift
+                   else tactile.Deformation())
+    deformation = dataclasses.replace(deformation, occluded=frozenset(args.occlude or []))
     frame, sidecar = tactile.render_frame(
         layout, deformation, camera, noise_sigma=args.noise, seed=args.seed
     )
@@ -295,27 +311,12 @@ def cmd_report(args):
         title="Payload curve: measured vs fitted",
         x_label="strain", y_label="load [N]",
     )
+    _, metrics, _ = _fit_result(fit)
     sections.append(expio.ReportSection(
-        title="Two-zone spring fit",
-        metrics={
-            "slope1": {"value": fit.slope1, "unit": "N/strain"},
-            "slope2": {"value": fit.slope2, "unit": "N/strain"},
-            "breakpoint": {"value": fit.breakpoint, "unit": "strain"},
-            "rms_relative_error": {"value": fit.rms_relative_error, "unit": "1"},
-        },
-        plot=plot_name,
-    ))
+        title="Two-zone spring fit", metrics=metrics, plot=plot_name))
 
-    closed, quad, rel, _ = _pressure_cross_check(
-        args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
-    sections.append(expio.ReportSection(
-        title="Line pressure cross-check",
-        metrics={
-            "closed_form": {"value": closed, "unit": "N/m"},
-            "quadrature": {"value": quad, "unit": "N/m"},
-            "relative_difference": {"value": rel, "unit": "1"},
-        },
-    ))
+    _, metrics, _ = _pressure_result(args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
+    sections.append(expio.ReportSection(title="Line pressure cross-check", metrics=metrics))
 
     payload_ref = expio.load_reference_dataset("table1_payload").rows[0]
     computed_ratio = expio.payload_to_weight_ratio(
@@ -447,10 +448,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TwistgripError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (TwistgripError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a well-formed input too large to serve

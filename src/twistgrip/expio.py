@@ -135,10 +135,6 @@ def newtons_to_kgf(value, g=G_DEFAULT):
     return value / g
 
 
-def kgf_to_newtons(value, g=G_DEFAULT):
-    return value * g
-
-
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
 _SVG_MARGIN = 60
@@ -218,7 +214,12 @@ def emit_plot(series, path, title="", x_label="", y_label=""):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_report_json(report, path):
+def write_json(doc, path):
+    """Write doc as key-sorted JSON indented by 2, with a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_report_json(report, path):
+    write_json(report.to_json(), path)

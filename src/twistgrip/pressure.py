@@ -13,6 +13,7 @@ tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +70,7 @@ def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
     return 3.0 * obj.mass * g / (4.0 * math.pi * (1.0 + fric.k) * obj.radius**2)
 
 
-_UNIT_TRAPEZOID_CACHE = {}
-
-
+@functools.cache
 def _unit_trapezoid_terms(n_intervals):
     """Trapezoid sums of u*sqrt(1-u^2) and u^2 on the uniform grid over [0, 1].
 
@@ -79,14 +78,10 @@ def _unit_trapezoid_terms(n_intervals):
     (substitute x = r*u), so these two sums are the only quadrature work; they
     are cached per grid resolution.
     """
-    cached = _UNIT_TRAPEZOID_CACHE.get(n_intervals)
-    if cached is None:
-        u = np.linspace(0.0, 1.0, n_intervals + 1)
-        a = float(np.trapezoid(u * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), u))
-        b = float(np.trapezoid(u * u, u))
-        cached = (a, b)
-        _UNIT_TRAPEZOID_CACHE[n_intervals] = cached
-    return cached
+    u = np.linspace(0.0, 1.0, n_intervals + 1)
+    a = float(np.trapezoid(u * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), u))
+    b = float(np.trapezoid(u * u, u))
+    return a, b
 
 
 def _support_integral(radius, k, n_intervals):

@@ -121,10 +121,6 @@ class ZoneFit:
         """Piecewise-linear load at the given strain, N."""
         return predict_load(strain, self)
 
-    def is_extrapolating(self, strain):
-        """True when predicting beyond the strain range used for the fit."""
-        return np.isfinite(self.max_fitted_strain) and strain > self.max_fitted_strain
-
 
 def predict_load(strain, spec):
     """Load carried by the skin at the given normalized strain, N.

@@ -340,12 +340,14 @@ def track(prev, curr, gate):
     counts = np.searchsorted(sorted_x, prev_pts[:, 0] + reach, side="right") - lo
     i, ranked = _expand_ranges(lo, counts)
     j = by_x[ranked]
-    dx, dy = (prev_pts[i] - curr_pts[j]).T
-    dist_sq = dx * dx + dy * dy
+    with np.errstate(over="ignore"):
+        dx, dy = (prev_pts[i] - curr_pts[j]).T
+        dist_sq = dx * dx + dy * dy
     dist = np.sqrt(dist_sq)
-    # a gap below about 1e-154 squares to a subnormal or 0; hypot keeps it
-    tiny = dist_sq < np.finfo(float).tiny
-    dist[tiny] = np.hypot(dx[tiny], dy[tiny])
+    # a gap below about 1e-154 squares to a subnormal or 0, one above about
+    # 1e154 to inf; hypot measures both
+    exact = (dist_sq < np.finfo(float).tiny) | (dist_sq == np.inf)
+    dist[exact] = np.hypot(dx[exact], dy[exact])
     in_gate = dist <= gate
     i, j, dist = i[in_gate], j[in_gate], dist[in_gate]
     order = np.lexsort((j, i, dist))

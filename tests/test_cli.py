@@ -76,6 +76,9 @@ class TestSpringCommands:
                                   "--out", str(out_path)])
         assert code == 0
         assert json.loads(out_path.read_text())["degenerate"] is False
+        code, out, _ = run(capsys, ["spring", "fit", "--in", str(synthetic_csv), "--json"])
+        assert code == 0
+        assert out_path.read_bytes() == out.encode()
 
     def test_predict_load(self, capsys):
         code, out, _ = run(capsys, ["spring", "predict", "--slope1", "100", "--slope2", "400",
@@ -285,6 +288,48 @@ class TestReportCommand:
         titles = [s["title"] for s in doc["sections"]]
         assert "Two-zone spring fit" in titles
         assert (out_dir / "payload_fit.svg").exists()
+
+    # --json key -> report metric name, spelled out apart from cli's field tables
+    FIT_NAMES = {
+        "slope1_n_per_strain": "slope1", "slope2_n_per_strain": "slope2",
+        "breakpoint_strain": "breakpoint", "rms_relative_error": "rms_relative_error",
+        "degenerate": "degenerate", "max_fitted_strain": "max_fitted_strain",
+    }
+    PRESSURE_NAMES = {
+        "closed_form_n_per_m": "closed_form", "quadrature_n_per_m": "quadrature",
+        "relative_difference": "relative_difference",
+        "equilibrium_residual_n": "equilibrium_residual", "n_intervals": "n_intervals",
+    }
+
+    def _report_metrics(self, capsys, curve, out_dir):
+        code, _, _ = run(capsys, ["report", "--curve", str(curve), "--out-dir", str(out_dir)])
+        assert code == 0
+        doc = json.loads((out_dir / "report.json").read_text())
+        return {s["title"]: s["metrics"] for s in doc["sections"]}
+
+    @pytest.mark.parametrize("title, names, argv", [
+        ("Two-zone spring fit", FIT_NAMES, ["spring", "fit", "--in", "{curve}"]),
+        ("Line pressure cross-check", PRESSURE_NAMES,
+         ["pressure", "--mass", "0.21", "--radius", "0.025", "--k", "0.5"]),
+    ])
+    def test_report_section_holds_every_json_field(self, capsys, synthetic_csv, tmp_path,
+                                                   title, names, argv):
+        argv = [arg.format(curve=synthetic_csv) for arg in argv]
+        code, out, _ = run(capsys, [*argv, "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == set(names)
+        metrics = self._report_metrics(capsys, synthetic_csv, tmp_path / "report")[title]
+        for key, value in payload.items():
+            assert metrics[names[key]]["value"] == value, key
+
+    def test_single_slope_report_flags_degenerate(self, capsys, tmp_path):
+        strains = np.linspace(0.0, 1.0, 20)
+        curve = PayloadCurve(strains=tuple(strains), loads=tuple(150.0 * strains))
+        path = tmp_path / "line.csv"
+        expio.write_payload_csv(curve, path)
+        metrics = self._report_metrics(capsys, path, tmp_path / "report")
+        assert metrics["Two-zone spring fit"]["degenerate"] == {"value": True, "unit": ""}
 
 
 class TestDeterminism:

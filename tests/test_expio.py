@@ -127,11 +127,6 @@ class TestRatiosAndConversions:
     def test_zero_converts_to_zero(self):
         assert expio.newtons_to_kgf(0.0) == 0.0
 
-    def test_round_trip_identity(self):
-        value = 328.7
-        back = expio.kgf_to_newtons(expio.newtons_to_kgf(value))
-        assert back == pytest.approx(value, rel=1e-12)
-
 
 class TestPlots:
     def test_single_series_polyline(self, tmp_path):

@@ -179,11 +179,9 @@ class TestFitZones:
         with pytest.raises(FitError, match="non-finite"):
             fit_zones(curve)
 
-    def test_fit_predict_and_extrapolation_flag(self):
+    def test_fit_predict(self):
         fit = fit_zones(synthetic_curve(SPEC))
         assert fit.predict(0.5) == pytest.approx(80.0, rel=1e-6)
-        assert not fit.is_extrapolating(0.9)
-        assert fit.is_extrapolating(1.5)
 
     @pytest.mark.parametrize("strain", [float("nan"), float("inf"), -0.1])
     def test_fit_predict_rejects_non_finite_and_negative_strain(self, strain):

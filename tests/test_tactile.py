@@ -366,11 +366,14 @@ def _track_reference(prev, curr, gate):
             unmatched_current=tuple(range(len(curr_pts))),
         )
     gaps = prev_pts[:, None, :] - curr_pts[None, :, :]
-    dists = np.linalg.norm(gaps, axis=2)
-    # the one documented change: a squared gap below the smallest normal float is
-    # measured with hypot, so a gap that squares to 0 is not a distance of 0
-    tiny = np.sum(gaps * gaps, axis=2) < np.finfo(float).tiny
-    dists[tiny] = np.hypot(gaps[..., 0], gaps[..., 1])[tiny]
+    with np.errstate(over="ignore"):
+        dists = np.linalg.norm(gaps, axis=2)
+        squared = np.sum(gaps * gaps, axis=2)
+    # the one documented change: a squared gap below the smallest normal float or
+    # above the largest is measured with hypot, so a gap that squares to 0 is not a
+    # distance of 0 and one that squares to inf is not infinitely far
+    exact = (squared < np.finfo(float).tiny) | (squared == np.inf)
+    dists[exact] = np.hypot(gaps[..., 0], gaps[..., 1])[exact]
     order = np.argsort(dists, axis=None, kind="stable")
     used_prev, used_curr, matches = set(), set(), []
     for flat in order:
@@ -527,6 +530,18 @@ def test_track_tiny_gate_measures_gaps_that_square_to_zero():
     near = _marker_set([(1e-201, 0.0)])
     assert track(prev, near, 1e-200).matches == ((0, 0, (1e-201, 0.0)),)
     assert track(prev, near, 1e-200) == _track_reference(prev, near, 1e-200)
+
+
+def test_track_huge_gate_measures_gaps_that_square_to_inf():
+    # a gap of 1e200 squares past the largest float; the suite's filter turns
+    # numpy's overflow warning into an error
+    prev = _marker_set([(0.0, 0.0)])
+    inside, outside = _marker_set([(1e200, 0.0)]), _marker_set([(3e200, 4e200)])
+    assert track(prev, inside, 1e300).matches == ((0, 0, (1e200, 0.0)),)
+    assert track(prev, inside, 1e300) == _track_reference(prev, inside, 1e300)
+    assert track(prev, outside, 4e200).matches == ()
+    assert track(prev, outside, 5e200).matches == ((0, 0, (3e200, 4e200)),)
+    assert track(prev, outside, 5e200) == _track_reference(prev, outside, 5e200)
 
 
 # Run-based labelling: detect_markers against the ndimage oracle, and the
