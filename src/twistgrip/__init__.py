@@ -1,37 +1,4 @@
 """Analytical models, fitting, and synthetic tactile perception for a
 rotation-based squeezing soft gripper."""
 
-from .errors import DomainError, FitError, ParseError, TwistgripError, ValidationError
-from .pressure import (
-    FrictionModel,
-    PressureDistribution,
-    SphericalObject,
-    equilibrium_residual,
-    line_pressure_closed_form,
-    line_pressure_quadrature,
-    pressure_components,
-)
-from .spring import (
-    PayloadCurve,
-    SkinSpec,
-    ZoneFit,
-    estimate_object_mass,
-    fit_zones,
-    predict_load,
-    predict_strain,
-)
-from .grasp import (
-    GraspOutcome,
-    GraspScenario,
-    GripperGeometry,
-    ObjectDescriptor,
-    Reason,
-    ShapeClass,
-    Verdict,
-    grasp_feasibility,
-    holding_pressure,
-    step_phase,
-    validate_against_reference,
-)
-
 __version__ = "0.1.0"

@@ -114,7 +114,7 @@ def _pressure_result(args, g, n_intervals):
     quad = pressure.line_pressure_quadrature(obj, fric, g=g, n_intervals=n_intervals)
     rel = abs(quad - closed) / closed if closed else 0.0
     residual = pressure.equilibrium_residual(
-        obj, fric, pressure.PressureDistribution(p_bottom=closed), g=g)
+        obj, fric, pressure.PressureDistribution(p_bottom=closed), g=g, n_intervals=n_intervals)
     payload, metrics = _tabulate(_PRESSURE_FIELDS, (closed, quad, rel, residual, n_intervals))
     return payload, metrics, [
         f"line pressure (closed form): {closed:.6g} N/m",

@@ -1,4 +1,4 @@
-"""Three-phase grasp state machine and explainable feasibility rules.
+"""Three-phase grasp trace and explainable feasibility rules.
 
 A grasp proceeds through Approaching, Lifting, and Holding. During
 Lifting/Holding the base rotates at a fixed speed and the skin's coverage of
@@ -83,12 +83,6 @@ class GripperGeometry:
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    phase: Phase = Phase.APPROACHING
-    angle: float = 0.0
-
-
-@dataclass(frozen=True)
 class ObjectDescriptor:
     shape_class: ShapeClass
     height: float
@@ -125,36 +119,21 @@ class GraspOutcome:
             raise DomainError("infeasible outcome must carry a failure reason")
 
 
-def step_phase(state, dt, geom, object_in_region=True):
-    """Advance the grasp state machine by dt seconds.
-
-    Approaching hands over to Lifting once the object is inside the petal
-    region; the angle then advances by rotation_speed * dt and the phase
-    becomes Holding when coverage saturates. Additive: two steps of dt equal
-    one step of 2*dt.
-    """
-    require_positive(dt=dt)
-    phase = state.phase
-    angle = state.angle
-    if phase is Phase.APPROACHING:
-        if not object_in_region:
-            return PhaseState(Phase.APPROACHING, angle)
-        phase = Phase.LIFTING
-    angle += geom.rotation_speed * dt
-    if geom.coverage(angle) >= 1.0:
-        phase = Phase.HOLDING
-    return PhaseState(phase, angle)
-
-
 def simulate_phases(geom):
-    """Run from rest to Holding in TRACE_STEPS steps; returns [(phase, angle, coverage)]."""
+    """Run from rest to Holding in TRACE_STEPS steps; returns [(phase, angle, coverage)].
+
+    The object is inside the petal region, so Approaching hands over to Lifting
+    at the first step; the phase becomes Holding when coverage saturates.
+    """
     dt = geom.full_close_angle / (geom.rotation_speed * TRACE_STEPS)
-    require_positive(step_angle=geom.rotation_speed * dt)  # a step that underflows never ends
-    state = PhaseState()
-    trace = [(state.phase.value, state.angle, geom.coverage(state.angle))]
-    while state.phase is not Phase.HOLDING:
-        state = step_phase(state, dt, geom)
-        trace.append((state.phase.value, state.angle, geom.coverage(state.angle)))
+    step = geom.rotation_speed * dt
+    require_positive(step_angle=step)  # a step that underflows never ends
+    phase, angle = Phase.APPROACHING, 0.0
+    trace = [(phase.value, angle, geom.coverage(angle))]
+    while phase is not Phase.HOLDING:
+        angle += step
+        phase = Phase.HOLDING if geom.coverage(angle) >= 1.0 else Phase.LIFTING
+        trace.append((phase.value, angle, geom.coverage(angle)))
     return trace
 
 

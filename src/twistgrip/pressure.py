@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ N_INTERVALS_DEFAULT = 100_000
 
 @dataclass(frozen=True)
 class SphericalObject:
-    """Gripped sphere: mass in kg, radius in m."""
+    """Gripped sphere: mass in kg, radius in m; the pressures divide by r^2, so it must be normal."""
 
     mass: float
     radius: float
@@ -35,6 +36,8 @@ class SphericalObject:
     def __post_init__(self):
         require_non_negative(mass=self.mass)
         require_positive(radius=self.radius)
+        if not sys.float_info.min <= self.radius * self.radius < math.inf:
+            raise DomainError(f"radius must square to a finite normal float, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,12 @@ class FrictionModel:
 
 @dataclass(frozen=True)
 class PressureDistribution:
-    """Uniform line pressures on the two halves of the sphere, N/m.
-
-    The top-half pressure defaults to 0: it is much smaller than the bottom
-    half in practice and is neglected in the closed form. A nonzero value is
-    accepted for sensitivity studies.
-    """
+    """Uniform bottom-half line pressure on the sphere, N/m; the top half's is neglected."""
 
     p_bottom: float
-    p_top: float = 0.0
 
     def __post_init__(self):
-        require_non_negative(p_bottom=self.p_bottom, p_top=self.p_top)
+        require_non_negative(p_bottom=self.p_bottom)
 
 
 def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
@@ -78,64 +75,44 @@ def _unit_trapezoid_terms(n_intervals):
     (substitute x = r*u), so these two sums are the only quadrature work; they
     are cached per grid resolution.
     """
-    u = np.linspace(0.0, 1.0, n_intervals + 1)
+    try:
+        u = np.linspace(0.0, 1.0, n_intervals + 1)
+    except (ValueError, IndexError) as exc:  # more points than an array can index
+        raise MemoryError(f"{n_intervals + 1} grid points: {exc}") from None
     a = float(np.trapezoid(u * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), u))
     b = float(np.trapezoid(u * u, u))
     return a, b
-
-
-def _support_integral(radius, k, n_intervals):
-    """Composite trapezoid of integral_0^r (sqrt(r^2-x^2)/r + k*x/r) x dx.
-
-    Evaluated on the normalized grid and rescaled by r^2 (an exact identity
-    of the trapezoid rule under x = r*u). The integrand has an infinite-slope
-    endpoint at x = r, so convergence is O(n^-1.5) rather than the
-    smooth-integrand O(n^-2); the default n_intervals = 1e5 leaves a relative
-    error around 2e-8.
-    """
-    a, b = _unit_trapezoid_terms(int(n_intervals))
-    return radius * radius * (a + k * b)
 
 
 def line_pressure_quadrature(obj, fric, g=G_DEFAULT, n_intervals=N_INTERVALS_DEFAULT):
     """Bottom-half line pressure via numerical quadrature of the force balance.
 
     Independent of the closed form: evaluates p_b = mg / (4 pi I) with I the
-    trapezoid approximation of the support integral over x in [0, r].
+    composite trapezoid of integral_0^r (sqrt(r^2-x^2)/r + k*x/r) x dx,
+    evaluated on the normalized grid and rescaled by r^2 (an exact identity
+    of the trapezoid rule under x = r*u). The integrand has an infinite-slope
+    endpoint at x = r, so convergence is O(n^-1.5) rather than the
+    smooth-integrand O(n^-2); the default n_intervals = 1e5 leaves a relative
+    error around 2e-8.
     """
     require_non_negative(g=g)
     if n_intervals < 2:
         raise DomainError(f"n_intervals must be >= 2, got {n_intervals}")
-    integral = _support_integral(obj.radius, fric.k, int(n_intervals))
-    return obj.mass * g / (4.0 * math.pi * integral)
-
-
-def pressure_components(p, alpha):
-    """Split a line pressure into (vertical, horizontal) = (p sin a, p cos a).
-
-    alpha is the contact angle in radians, 0 at the equator direction and
-    pi/2 at the locking base.
-    """
-    require_non_negative(p=p)
-    if not 0.0 <= alpha <= math.pi / 2.0:
-        raise DomainError(f"contact angle alpha must lie in [0, pi/2], got {alpha}")
-    return p * math.sin(alpha), p * math.cos(alpha)
+    a, b = _unit_trapezoid_terms(int(n_intervals))
+    r = obj.radius
+    return obj.mass * g / (4.0 * math.pi * (r * r * (a + fric.k * b)))
 
 
 def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_DEFAULT):
     """Residual of the vertical force balance, N.
 
     Returns m*g minus the integrated vertical support
-    4 pi * integral_0^r [p_b (sin a + k cos a) + p_t (-sin a + k cos a)] x dx
-    with a(x) = arccos(x/r). Zero (within quadrature error) when p_b is the
-    closed-form value and p_t = 0. Both integrals are trapezoid sums on the
-    normalized grid, rescaled by r^2.
+    4 pi * integral_0^r p_b (sin a + k cos a) x dx with a(x) = arccos(x/r).
+    Zero (within quadrature error) when p_b is the closed-form value. The
+    integral is a trapezoid sum on the normalized grid, rescaled by r^2.
     """
     require_non_negative(g=g)
     r = obj.radius
-    k = fric.k
     a, b = _unit_trapezoid_terms(int(n_intervals))
-    support = 4.0 * math.pi * r * r * (
-        dist.p_bottom * (a + k * b) + dist.p_top * (-a + k * b)
-    )
+    support = 4.0 * math.pi * r * r * (dist.p_bottom * (a + fric.k * b))
     return obj.mass * g - support

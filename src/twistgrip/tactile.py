@@ -179,10 +179,13 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     the image is silently clipped but recorded in the sidecar. Gaussian pixel
     noise is seeded, so identical inputs give bit-identical frames.
     """
-    require_non_negative(noise_sigma=noise_sigma)
+    require_non_negative(noise_sigma=noise_sigma, seed=seed)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
     require_positive(marker_radius_px=radius_px)  # a finite diameter and scale can overflow
-    image = np.zeros((camera.height, camera.width), dtype=float)
+    try:
+        image = np.zeros((camera.height, camera.width), dtype=float)
+    except ValueError as exc:  # more pixels than an array can index
+        raise MemoryError(f"{camera.width}x{camera.height} frame: {exc}") from None
     visible, occluded_ids, clipped_ids = [], [], []
 
     for mid, pos in layout.markers:

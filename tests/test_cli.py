@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twistgrip
@@ -49,6 +49,17 @@ class TestPressureCommand:
         doc = json.loads(out)
         assert doc["closed_form_n_per_m"] == pytest.approx(524.6, abs=0.05)
         assert doc["relative_difference"] < 1e-6
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000])
+    def test_residual_comes_from_the_quadrature_grid(self, capsys, n):
+        code, out, _ = run(capsys, ["pressure", "--mass", "0.21", "--radius", "0.025", "--k", "0.5",
+                                    "--n-intervals", str(n), "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        closed, quad = doc["closed_form_n_per_m"], doc["quadrature_n_per_m"]
+        # one trapezoid I: quad = mg / (4 pi I), so the residual mg - 4 pi I closed is this
+        expected = 0.21 * 9.81 * (quad - closed) / quad
+        assert doc["equilibrium_residual_n"] == pytest.approx(expected, rel=1e-6)
 
     def test_invalid_friction_exits_2(self, capsys):
         code, _, err = run(capsys, ["pressure", "--mass", "1", "--radius", "0.05", "--k", "1.5"])
@@ -132,6 +143,16 @@ class TestGraspCommands:
         assert doc["verdict"] == "Feasible"
         assert doc["phase_trace"][-1]["coverage"] == 1.0
         assert doc["holding_pressure_n_per_m"] > 0
+
+    def test_simulate_sphere_too_small_for_pressure_exits_2_naming_radius(self, capsys, tmp_path):
+        scenario = {"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 1e-170,
+                                                 "diameter_m": 1e-170, "mass_kg": 0.1}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, ["grasp", "simulate", "--scenario", str(path), "--k", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: radius must")
 
     def test_simulate_flat_object(self, capsys, tmp_path):
         scenario = {
@@ -261,10 +282,15 @@ class TestTactileCommands:
     (["tactile", "render", "--grid", "2x2", "--view-width", "nan"], "view_width"),
     (["tactile", "render", "--grid", "2x2", "--noise", "nan"], "noise_sigma"),
     (["tactile", "render", "--grid", "2x2", "--noise", "-1"], "noise_sigma"),
+    (["tactile", "render", "--grid", "2x2", "--noise", "1", "--seed", "-1"], "seed"),
+    (["tactile", "render", "--grid", "2x2", "--seed", "-3"], "seed"),
     (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
       "--strain", "0.5", "--g", "nan"], "g"),
+    (["pressure", "--mass", "1", "--radius", "1e-170", "--k", "0.5"], "radius"),
+    (["pressure", "--mass", "1", "--radius", "1e300", "--k", "0.5"], "radius"),
 ], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan", "noise-nan",
-        "noise-negative", "predict-g-nan"])
+        "noise-negative", "noisy-seed-negative", "seed-negative", "predict-g-nan",
+        "radius-square-underflows", "radius-square-overflows"])
 def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, argv, field):
     frame = tmp_path / "f.pgm"
     if argv[1] in ("track", "summarize"):
@@ -459,6 +485,9 @@ def test_cli_import_loads_no_scipy():
      "tactile render"),
     (["pressure", "--mass", "1", "--radius", "0.1", "--k", "0.5", "--n-intervals", "2000000000"],
      "pressure"),
+    (["tactile", "render", "--grid", "5x5", "--width", str(2**63)], "tactile render"),
+    (["pressure", "--mass", "1", "--radius", "0.1", "--k", "0.5", "--n-intervals", str(10**30)],
+     "pressure"),
 ])
 def test_input_too_large_to_serve_exits_2_naming_subcommand(tmp_path, argv, command):
     if argv[0] == "tactile":
@@ -469,3 +498,62 @@ def test_input_too_large_to_serve_exits_2_naming_subcommand(tmp_path, argv, comm
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith(f"error: {command}: ")
     assert "internal error" not in child.stderr
+
+
+# Numeric flags fuzzed one at a time: (argv prefix, valid flag values, the flags' kinds,
+# values that once exited 1, always tried first).
+FLAG_FUZZ = {
+    "pressure": (["pressure"], {"--mass": "0.21", "--radius": "0.025", "--k": "0.5"},
+                 {"--mass": float, "--radius": float, "--k": float, "--g": float,
+                  "--n-intervals": int},
+                 [("--radius", 1e-170), ("--radius", 1e300), ("--n-intervals", 2**60)]),
+    "spring predict": (["spring", "predict"],
+                       {"--slope1": "100", "--slope2": "400", "--breakpoint": "0.4",
+                        "--strain": "0.5"},
+                       {"--slope1": float, "--slope2": float, "--breakpoint": float,
+                        "--strain": float, "--load": float, "--g": float}, []),
+    "tactile render": (["tactile", "render", "--grid", "2x2"],
+                       {"--width": "64", "--height": "48", "--noise": "1"},
+                       {"--width": int, "--height": int, "--view-width": float, "--noise": float,
+                        "--seed": int, "--shift": float},
+                       [("--seed", -1), ("--height", 2**60)]),
+}
+FUZZ_VALUES = {
+    float: st.floats() | st.sampled_from([-1.0, 1e-170, 1e-300, 1e300]),
+    # sizes are small or beyond any array, so no child fills memory before it fails
+    int: st.integers(-1000, 1000) | st.sampled_from([10**12, 2**60, 2**63, 10**30]),
+}
+
+
+def flag_argv(command, flag, value, out):
+    prefix, defaults, _, _ = FLAG_FUZZ[command]
+    if flag == "--load":  # --strain and --load exclude each other
+        defaults = {k: v for k, v in defaults.items() if k != "--strain"}
+    if flag == "--shift":  # two values, and argparse reads "-1e-170" as an option
+        tail = ["--shift", repr(abs(value)), "0"]
+    else:
+        tail = [f"{flag}={value!r}"]
+    argv = [*prefix, *(f"{k}={v}" for k, v in defaults.items() if k != flag), *tail]
+    return [*argv, "--out", str(out)] if command == "tactile render" else argv
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_FUZZ))
+def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
+    _, _, kinds, regressions = FLAG_FUZZ[command]
+    flag_values = st.sampled_from(sorted(kinds)).flatmap(
+        lambda flag: st.tuples(st.just(flag), FUZZ_VALUES[kinds[flag]]))
+
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(flag_value=flag_values)
+    def check(flag_value):
+        argv = flag_argv(command, *flag_value, tmp_path / "f.pgm")
+        child = subprocess.run([sys.executable, "-m", "twistgrip.cli", *argv], env=CHILD_ENV,
+                               capture_output=True, text=True, timeout=60,
+                               preexec_fn=_cap_address_space)
+        assert child.returncode in (0, 2), (argv, child.stderr)
+        if child.returncode == 2:
+            assert child.stderr.startswith("error: "), (argv, child.stderr)
+
+    for flag_value in regressions:
+        check = example(flag_value=flag_value)(check)
+    check()

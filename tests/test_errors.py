@@ -19,7 +19,6 @@ SPEC = spring.SkinSpec(100.0, 400.0, 0.4)
 FIT = spring.ZoneFit(100.0, 400.0, 0.4, rms_relative_error=0.0, max_fitted_strain=1.0)
 GEOMETRY = dict(skin_volume=1e-5, skin_height=0.02, base_stiffness=1e4,
                 zone1_coeff=1.0, zone2_coeff=4.0)
-GRIPPER = grasp.GripperGeometry.from_name("4in")
 LAYOUT = tactile.MarkerLayout.grid(2, 2)
 CAMERA = tactile.CameraModel(width=64, height=48)
 NO_MATCHES = tactile.DisplacementField(matches=(), unmatched_previous=(), unmatched_current=())
@@ -40,8 +39,6 @@ BOUNDARIES = {
     "FrictionModel.k": ("k", lambda x: pressure.FrictionModel(k=x)),
     "PressureDistribution.p_bottom": (
         "p_bottom", lambda x: pressure.PressureDistribution(p_bottom=x)),
-    "PressureDistribution.p_top": (
-        "p_top", lambda x: pressure.PressureDistribution(p_bottom=1.0, p_top=x)),
     "line_pressure_closed_form.g": (
         "g", lambda x: pressure.line_pressure_closed_form(SPHERE, FRICTION, g=x)),
     "line_pressure_quadrature.g": (
@@ -49,8 +46,6 @@ BOUNDARIES = {
     "equilibrium_residual.g": (
         "g", lambda x: pressure.equilibrium_residual(
             SPHERE, FRICTION, pressure.PressureDistribution(p_bottom=1.0), g=x)),
-    "pressure_components.p": ("p", lambda x: pressure.pressure_components(x, 0.5)),
-    "pressure_components.alpha": ("alpha", lambda x: pressure.pressure_components(1.0, x)),
     "SkinSpec.slope1": ("slope1", lambda x: spring.SkinSpec(x, 400.0, 0.4)),
     "SkinSpec.slope2": ("slope2", lambda x: spring.SkinSpec(100.0, x, 0.4)),
     "SkinSpec.breakpoint": ("breakpoint", lambda x: spring.SkinSpec(100.0, 400.0, x)),
@@ -77,7 +72,6 @@ BOUNDARIES = {
         name, lambda x, name=name: grasp.ObjectDescriptor(
             grasp.ShapeClass.SPHERE, **{"height": 0.05, "diameter": 0.05, "mass": 0.1, name: x}))
        for name in ("height", "diameter", "mass")},
-    "step_phase.dt": ("dt", lambda x: grasp.step_phase(grasp.PhaseState(), x, GRIPPER)),
     "MarkerLayout.marker_diameter": (
         "marker_diameter", lambda x: tactile.MarkerLayout(markers=(), marker_diameter=x)),
     **{f"CameraModel.{name}": (name, lambda x, name=name: tactile.CameraModel(**{name: x}))
@@ -85,6 +79,8 @@ BOUNDARIES = {
     "render_frame.noise_sigma": (
         "noise_sigma",
         lambda x: tactile.render_frame(LAYOUT, tactile.Deformation(), CAMERA, noise_sigma=x)),
+    "render_frame.seed": (
+        "seed", lambda x: tactile.render_frame(LAYOUT, tactile.Deformation(), CAMERA, seed=x)),
     "track.gate": ("gate", lambda x: tactile.track(EMPTY, EMPTY, gate=x)),
     "contact_summary.air_support_kpa": (
         "air_support_kpa", lambda x: tactile.contact_summary(NO_MATCHES, air_support_kpa=x)),

@@ -9,14 +9,12 @@ from twistgrip.grasp import (
     GripperGeometry,
     ObjectDescriptor,
     Phase,
-    PhaseState,
     Reason,
     ShapeClass,
     Verdict,
     grasp_feasibility,
     holding_pressure,
     simulate_phases,
-    step_phase,
     validate_against_reference,
 )
 from twistgrip.pressure import FrictionModel
@@ -45,42 +43,25 @@ class TestGripperGeometry:
         assert geom.coverage(5.0) == 1.0
 
 
-class TestPhaseMachine:
-    def test_initial_state(self):
-        state = PhaseState()
-        assert state.phase is Phase.APPROACHING
-        assert FOUR_INCH.coverage(state.angle) == 0.0
+TRACE_GRIPPERS = [GripperGeometry.from_name(name) for name in ("2in", "4in", "8in")] + [
+    GripperGeometry(aperture_diameter=0.2, full_close_angle=3.7, rotation_speed=0.37)]
 
-    def test_saturation_reaches_holding(self):
-        geom = GripperGeometry(aperture_diameter=0.1, full_close_angle=1.0, rotation_speed=1.0)
-        state = PhaseState()
-        state = step_phase(state, 1.0, geom)
-        assert state.phase is Phase.HOLDING
-        assert geom.coverage(state.angle) == 1.0
 
-    def test_additivity_of_steps(self):
-        geom = GripperGeometry(aperture_diameter=0.1, full_close_angle=10.0, rotation_speed=0.5)
-        one = step_phase(step_phase(PhaseState(), 0.3, geom), 0.3, geom)
-        two = step_phase(PhaseState(), 0.6, geom)
-        assert one.angle == pytest.approx(two.angle, rel=1e-12)
-        assert one.phase is two.phase
-
-    def test_stays_approaching_outside_region(self):
-        state = step_phase(PhaseState(), 0.5, FOUR_INCH, object_in_region=False)
-        assert state.phase is Phase.APPROACHING
-        assert state.angle == 0.0
-
-    def test_non_positive_dt_rejected(self):
-        with pytest.raises(DomainError):
-            step_phase(PhaseState(), 0.0, FOUR_INCH)
-
-    def test_trace_coverage_monotone(self):
-        trace = simulate_phases(FOUR_INCH)
-        coverages = [cov for _, _, cov in trace]
-        assert coverages[0] == 0.0
-        assert coverages[-1] == 1.0
-        assert all(b >= a for a, b in zip(coverages, coverages[1:]))
-        assert trace[-1][0] == Phase.HOLDING.value
+@pytest.mark.parametrize("geom", TRACE_GRIPPERS, ids=["2in", "4in", "8in", "custom"])
+def test_phase_trace_is_a_running_sum_ending_in_holding(geom):
+    trace = simulate_phases(geom)
+    phases = [phase for phase, _, _ in trace]
+    assert phases == ([Phase.APPROACHING.value] + [Phase.LIFTING.value] * (len(trace) - 2)
+                      + [Phase.HOLDING.value])
+    assert trace[0][1:] == (0.0, 0.0)
+    step = trace[1][1]
+    assert step > 0.0
+    # each angle is the previous one plus the same step; a k * step closed form differs in the
+    # last bits, and those reach the printed trace
+    assert all(b[1] == a[1] + step for a, b in zip(trace, trace[1:]))
+    assert all(cov == geom.coverage(angle) for _, angle, cov in trace)
+    assert all(b[2] >= a[2] for a, b in zip(trace, trace[1:]))
+    assert trace[-1][2] == 1.0 and trace[-2][2] < 1.0
 
 
 class TestFeasibility:
