@@ -26,7 +26,7 @@ EXIT_USAGE = 2
 
 def _emit(payload, as_json, human_lines):
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in human_lines:
             print(line)
@@ -57,8 +57,7 @@ def _scenario_from_json(doc):
     return grasp.GraspScenario(
         gripper=(grasp.GripperGeometry.from_name(gripper) if isinstance(gripper, str)
                  else grasp.GripperGeometry(**gripper)),
-        obj=grasp.ObjectDescriptor(grasp.ShapeClass(shape), height, diameter, mass,
-                                   label=doc["object"].get("label", "")),
+        obj=grasp.ObjectDescriptor(grasp.ShapeClass(shape), height, diameter, mass),
         submersion_fraction=doc.get("submersion_fraction", 0.0),
         inside_petal_region=doc.get("inside_petal_region", True),
         agitated_approach=doc.get("agitated_approach", False),
@@ -226,7 +225,7 @@ def cmd_tactile_render(args):
     )
     tactile.write_pgm(frame, args.out)
     if args.sidecar:
-        tactile.write_sidecar(sidecar, args.sidecar)
+        expio.write_json(sidecar, args.sidecar)
     print(f"wrote {args.out} ({frame.width}x{frame.height}, "
           f"{len(sidecar['visible'])} markers visible)")
     return EXIT_OK

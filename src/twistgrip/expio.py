@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import DomainError, ParseError, ValidationError, require_non_negative, require_positive
@@ -24,9 +24,8 @@ CSV_HEADER = "strain,force_n"
 @dataclass(frozen=True)
 class ReferenceDataset:
     id: str
-    version: int
     rows: tuple
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,10 @@ class ReportSection:
 @dataclass(frozen=True)
 class Report:
     sections: tuple
-    format_version: int = 1
 
     def to_json(self):
         return {
-            "format_version": self.format_version,
+            "format_version": 1,
             "sections": [
                 {"title": s.title, "metrics": s.metrics, "plot": s.plot}
                 for s in self.sections
@@ -60,12 +58,7 @@ def _dataset_bytes(dataset_id):
 def load_reference_dataset(dataset_id):
     """Load a bundled reference table by id."""
     doc = json.loads(_dataset_bytes(dataset_id))
-    return ReferenceDataset(
-        id=doc["id"],
-        version=doc["version"],
-        rows=tuple(doc["rows"]),
-        meta=doc.get("meta", {}),
-    )
+    return ReferenceDataset(id=doc["id"], rows=tuple(doc["rows"]), meta=doc.get("meta", {}))
 
 
 def dataset_checksum(dataset_id):
@@ -110,8 +103,8 @@ def read_payload_csv(path, strain_unit="fraction", skin_height=None):
 
     try:
         if strain_unit == "absolute":
-            return PayloadCurve.from_absolute(strains, loads, skin_height, source=str(path))
-        return PayloadCurve(strains=tuple(strains), loads=tuple(loads), source=str(path))
+            return PayloadCurve.from_absolute(strains, loads, skin_height)
+        return PayloadCurve(strains=tuple(strains), loads=tuple(loads))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -131,8 +124,8 @@ def payload_to_weight_ratio(max_payload_kgf, gripper_weight_kg):
     return 100.0 * max_payload_kgf / gripper_weight_kg
 
 
-def newtons_to_kgf(value, g=G_DEFAULT):
-    return value / g
+def newtons_to_kgf(value):
+    return value / G_DEFAULT
 
 
 _SVG_WIDTH = 640
@@ -145,7 +138,7 @@ def _fmt(x):
     return f"{x:.3f}"
 
 
-def emit_plot(series, path, title="", x_label="", y_label=""):
+def emit_plot(series, path, *, title, x_label, y_label):
     """Write a deterministic SVG line plot.
 
     series is a list of (xs, ys, label). The output depends only on the
@@ -177,23 +170,14 @@ def emit_plot(series, path, title="", x_label="", y_label=""):
         f'x2="{_SVG_WIDTH - _SVG_MARGIN}" y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black"/>',
         f'<line x1="{_SVG_MARGIN}" y1="{_SVG_MARGIN}" '
         f'x2="{_SVG_MARGIN}" y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black"/>',
+        f'<text x="{_SVG_WIDTH // 2}" y="30" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'<text x="{_SVG_WIDTH // 2}" y="{_SVG_HEIGHT - 15}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{x_label}</text>',
+        f'<text x="18" y="{_SVG_HEIGHT // 2}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {_SVG_HEIGHT // 2})">{y_label}</text>',
     ]
-    if title:
-        lines.append(
-            f'<text x="{_SVG_WIDTH // 2}" y="30" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
-    if x_label:
-        lines.append(
-            f'<text x="{_SVG_WIDTH // 2}" y="{_SVG_HEIGHT - 15}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>'
-        )
-    if y_label:
-        lines.append(
-            f'<text x="18" y="{_SVG_HEIGHT // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 18 {_SVG_HEIGHT // 2})">{y_label}</text>'
-        )
     for i, (xs, ys, label) in enumerate(series):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
         points = " ".join(
@@ -215,9 +199,9 @@ def emit_plot(series, path, title="", x_label="", y_label=""):
 
 
 def write_json(doc, path):
-    """Write doc as key-sorted JSON indented by 2, with a final newline."""
+    """Write doc as key-sorted JSON indented by 2, with a final newline; NaN and inf raise."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from . import expio
 from .errors import DomainError, require_non_negative, require_positive
-from .pressure import G_DEFAULT, FrictionModel, SphericalObject, line_pressure_closed_form
+from .pressure import SphericalObject, line_pressure_closed_form
 
 INCH = 0.0254
 APERTURE_BY_NAME = {"2in": 2 * INCH, "4in": 4 * INCH, "8in": 8 * INCH}
@@ -88,7 +89,6 @@ class ObjectDescriptor:
     height: float
     diameter: float
     mass: float
-    label: str = ""
 
     def __post_init__(self):
         require_positive(height=self.height, diameter=self.diameter)
@@ -134,6 +134,9 @@ def simulate_phases(geom):
         angle += step
         phase = Phase.HOLDING if geom.coverage(angle) >= 1.0 else Phase.LIFTING
         trace.append((phase.value, angle, geom.coverage(angle)))
+    if angle == math.inf:  # the last step overshot the largest float
+        raise DomainError(f"full_close_angle must leave room for one more step, "
+                          f"got {geom.full_close_angle!r}")
     return trace
 
 
@@ -168,14 +171,14 @@ def grasp_feasibility(scenario):
     return GraspOutcome(Verdict.FEASIBLE, Reason.OK, trace)
 
 
-def holding_pressure(scenario, fric, g=G_DEFAULT):
+def holding_pressure(scenario, fric):
     """Line pressure on the object during Holding, N/m.
 
     The object is approximated as a sphere of its nominal diameter; gentleness
     metric for scenario reports.
     """
     sphere = SphericalObject(mass=scenario.obj.mass, radius=scenario.obj.diameter / 2.0)
-    return line_pressure_closed_form(sphere, fric, g=g)
+    return line_pressure_closed_form(sphere, fric)
 
 
 @dataclass(frozen=True)
@@ -219,22 +222,18 @@ def _reference_object(doc):
         height=doc["height_mm"] / 1000.0,
         diameter=doc["diameter_mm"] / 1000.0,
         mass=doc["mass_g"] / 1000.0,
-        label=doc["name"],
     )
 
 
-def validate_against_reference(dataset):
+def validate_against_reference(dataset_id):
     """Replay a bundled reference table through grasp_feasibility.
 
-    dataset is a ReferenceDataset (or a dataset id string) whose meta names
-    the gripper preset and, for rows without object fields, the object.
-    Agreement compares the predicted verdict against the recorded success
-    rate (>= 50% means the trials mostly succeeded, so Feasible is expected).
+    dataset_id names a bundled table whose meta names the gripper preset and,
+    for rows without object fields, the object. Agreement compares the
+    predicted verdict against the recorded success rate (>= 50% means the
+    trials mostly succeeded, so Feasible is expected).
     """
-    from . import expio
-
-    if isinstance(dataset, str):
-        dataset = expio.load_reference_dataset(dataset)
+    dataset = expio.load_reference_dataset(dataset_id)
     if "gripper" not in dataset.meta:
         raise DomainError(f"dataset {dataset.id!r} has no feasibility interpretation")
     gripper = GripperGeometry.from_name(dataset.meta["gripper"])

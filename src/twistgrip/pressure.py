@@ -61,10 +61,22 @@ class PressureDistribution:
         require_non_negative(p_bottom=self.p_bottom)
 
 
+def _line_pressure(obj, g, weight, support):
+    """weight / support, N/m; DomainError names the radius or mass that overflows either."""
+    if support == math.inf:
+        raise DomainError(f"radius must keep the support integral finite, got {obj.radius!r}")
+    p = weight / support
+    if p == math.inf:  # also when the weight itself overflowed
+        raise DomainError(f"mass must give a finite line pressure on radius {obj.radius!r} "
+                          f"at g={g!r}, got {obj.mass!r}")
+    return p
+
+
 def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
     """Closed-form bottom-half line pressure p_b = 3mg / (4 pi (1+k) r^2), N/m."""
     require_non_negative(g=g)
-    return 3.0 * obj.mass * g / (4.0 * math.pi * (1.0 + fric.k) * obj.radius**2)
+    return _line_pressure(obj, g, 3.0 * obj.mass * g,
+                          4.0 * math.pi * (1.0 + fric.k) * obj.radius**2)
 
 
 @functools.cache
@@ -100,7 +112,7 @@ def line_pressure_quadrature(obj, fric, g=G_DEFAULT, n_intervals=N_INTERVALS_DEF
         raise DomainError(f"n_intervals must be >= 2, got {n_intervals}")
     a, b = _unit_trapezoid_terms(int(n_intervals))
     r = obj.radius
-    return obj.mass * g / (4.0 * math.pi * (r * r * (a + fric.k * b)))
+    return _line_pressure(obj, g, obj.mass * g, 4.0 * math.pi * (r * r * (a + fric.k * b)))
 
 
 def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_DEFAULT):
@@ -115,4 +127,8 @@ def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_D
     r = obj.radius
     a, b = _unit_trapezoid_terms(int(n_intervals))
     support = 4.0 * math.pi * r * r * (dist.p_bottom * (a + fric.k * b))
-    return obj.mass * g - support
+    residual = obj.mass * g - support
+    if not -math.inf < residual < math.inf:
+        raise DomainError(f"radius must keep the support integral finite at p_bottom="
+                          f"{dist.p_bottom!r}, got {r!r}")
+    return residual

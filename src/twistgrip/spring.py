@@ -9,6 +9,7 @@ so the individual k0, V_s, h0 never need to be known.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,6 @@ class PayloadCurve:
 
     strains: tuple
     loads: tuple
-    source: str = ""
 
     def __post_init__(self):
         strains = np.asarray(self.strains, dtype=float)
@@ -83,11 +83,11 @@ class PayloadCurve:
         object.__setattr__(self, "loads", tuple(float(p) for p in loads))
 
     @classmethod
-    def from_absolute(cls, deflections, loads, skin_height, source=""):
+    def from_absolute(cls, deflections, loads, skin_height):
         """Build from absolute deflections (m) by normalizing with skin_height."""
         require_positive(skin_height=skin_height)
         strains = np.asarray(deflections, dtype=float) / skin_height
-        return cls(strains=tuple(strains), loads=tuple(loads), source=source)
+        return cls(strains=tuple(strains), loads=tuple(loads))
 
     @property
     def samples(self):
@@ -130,9 +130,10 @@ def predict_load(strain, spec):
     """
     require_non_negative(strain=strain)
     t = spec.breakpoint
-    if strain <= t:
-        return spec.slope1 * strain
-    return spec.slope1 * t + spec.slope2 * (strain - t)
+    load = spec.slope1 * strain if strain <= t else spec.slope1 * t + spec.slope2 * (strain - t)
+    if load == math.inf:
+        raise DomainError(f"strain must give a finite load, got {strain!r}")
+    return load
 
 
 def predict_strain(load, spec):
@@ -148,14 +149,21 @@ def predict_strain(load, spec):
         raise DomainError(f"cannot invert load {load!r}: {zone_slope} is 0, so no unique strain "
                           "gives it")
     if load <= load_at_transition:
-        return load / spec.slope1
-    return spec.breakpoint + (load - load_at_transition) / spec.slope2
+        strain = load / spec.slope1
+    else:
+        strain = spec.breakpoint + (load - load_at_transition) / spec.slope2
+    if strain == math.inf:
+        raise DomainError(f"load must give a finite strain, got {load!r}")
+    return strain
 
 
 def estimate_object_mass(strain, spec, g=G_DEFAULT):
     """Object mass inferred from the measured strain: m = P(strain) / g, kg."""
     require_positive(g=g)
-    return predict_load(strain, spec) / g
+    mass = predict_load(strain, spec) / g
+    if mass == math.inf:
+        raise DomainError(f"g must give a finite mass, got {g!r}")
+    return mass
 
 
 def fit_zones(curve):

@@ -9,7 +9,6 @@ the renderer's ground truth doubles as a test oracle.
 """
 from __future__ import annotations
 
-import json
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -26,7 +25,6 @@ BINARIZE_THRESHOLD_DEFAULT = 128
 MERGED_AREA_FACTOR = 2.5
 GATE_DIAMETER_FACTOR = 3.0
 CONTACT_THRESHOLD_PX = 1.0
-MIN_VISIBLE = 1
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,9 @@ class MarkerLayout:
 
     def __post_init__(self):
         ids = [mid for mid, _ in self.markers]
+        for mid in ids:
+            if not isinstance(mid, numbers.Integral) or isinstance(mid, bool):
+                raise ValidationError(f"marker id must be an integer, got {mid!r}")
         if len(ids) != len(set(ids)):
             raise ValidationError("marker ids must be unique")
         for mid, position in self.markers:
@@ -46,7 +47,8 @@ class MarkerLayout:
                     raise ValidationError(f"marker {mid!r} {axis} must lie in [0, 1], got {value!r}")
         require_positive(marker_diameter=self.marker_diameter)
         object.__setattr__(
-            self, "markers", tuple((mid, (float(u), float(v))) for mid, (u, v) in self.markers)
+            self, "markers",
+            tuple((int(mid), (float(u), float(v))) for mid, (u, v) in self.markers)
         )
 
     @classmethod
@@ -56,15 +58,12 @@ class MarkerLayout:
         vs = np.linspace(GRID_MARGIN, 1.0 - GRID_MARGIN, n_rows)
         return cls(markers=tuple(enumerate((float(u), float(v)) for v in vs for u in us)))
 
-    def to_json(self):
-        return {
-            "marker_diameter_m": self.marker_diameter,
-            "markers": [{"id": mid, "u": u, "v": v} for mid, (u, v) in self.markers],
-        }
-
     @classmethod
     def from_json(cls, doc):
-        """Inverse of to_json; a missing key raises ValidationError naming its path."""
+        """Build from {"marker_diameter_m": d, "markers": [{"id", "u", "v"}, ...]}.
+
+        A missing key raises ValidationError naming its path.
+        """
         markers = tuple((require_key(doc, "markers", i, "id"),
                          tuple(require_key(doc, "markers", i, axis) for axis in "uv"))
                         for i in range(len(require_key(doc, "markers"))))
@@ -376,9 +375,8 @@ def track(prev, curr, gate):
 def contact_summary(field, air_support_kpa=0.0):
     """Displacement statistics plus a coarse contact label.
 
-    Label is idle below CONTACT_THRESHOLD_PX mean displacement (or with fewer
-    than MIN_VISIBLE visible markers), contact above it, and contact-with-air
-    when air support is active.
+    Label is idle below CONTACT_THRESHOLD_PX mean displacement, contact above
+    it, and contact-with-air when air support is active.
     """
     require_non_negative(air_support_kpa=air_support_kpa)
     vectors = field.vectors()
@@ -390,8 +388,7 @@ def contact_summary(field, air_support_kpa=0.0):
     else:
         mean_mag = 0.0
         variance = 0.0
-    in_contact = mean_mag >= CONTACT_THRESHOLD_PX and visible >= MIN_VISIBLE
-    if not in_contact:
+    if mean_mag < CONTACT_THRESHOLD_PX:
         label = "idle"
     elif air_support_kpa > 0:
         label = "contact-with-air"
@@ -439,9 +436,3 @@ def read_pgm(path):
                          f"got {len(data) - header.end()}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=header.end())
     return TactileFrame(pixels=pixels.reshape(height, width).copy())
-
-
-def write_sidecar(sidecar, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -154,6 +154,16 @@ class TestGraspCommands:
         assert out == ""
         assert err.startswith("error: radius must")
 
+    def test_simulate_holding_pressure_overflow_exits_2_naming_mass(self, capsys, tmp_path):
+        scenario = {"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 2e-150,
+                                                 "diameter_m": 2e-150, "mass_kg": 1e300}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code, out, err = run(capsys, ["grasp", "simulate", "--scenario", str(path), "--k", "0.5"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: mass must") and "p_bottom" not in err
+
     def test_simulate_flat_object(self, capsys, tmp_path):
         scenario = {
             "gripper": "8in",
@@ -240,14 +250,18 @@ class TestTactileCommands:
         ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": 0.5}]}', "'markers.0.v'"),
         ('{"marker_diameter_m": NaN, "markers": []}', "marker_diameter"),
         ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": "a", "v": 0.5}]}', "marker 0 u"),
+        *((f'{{"marker_diameter_m": 0.002, "markers": [{{"id": 0, "u": 0.2, "v": 0.2}},'
+           f' {{"id": {mid}, "u": 0.5, "v": 0.5}}]}}', "marker id must be an integer")
+          for mid in ('"a"', "1.0", "null", "true")),
     ], ids=["invalid-json", "no-markers", "no-diameter", "no-id", "no-u", "no-v", "nan-diameter",
-            "string-u"])
+            "string-u", "string-id", "float-id", "null-id", "bool-id"])
     def test_render_malformed_layout_exits_2_naming_file_and_key(self, capsys, tmp_path,
                                                                    text, key):
         layout = tmp_path / "layout.json"
         layout.write_text(text)
+        # the shift clips every marker, which once sorted the mixed clipped ids
         code, _, err = run(capsys, ["tactile", "render", "--layout", str(layout),
-                                    "--out", str(tmp_path / "f.pgm")])
+                                    "--out", str(tmp_path / "f.pgm"), "--shift", "100000", "0"])
         assert code == 2
         assert str(layout) in err and key in err
         assert not (tmp_path / "f.pgm").exists()
@@ -288,20 +302,36 @@ class TestTactileCommands:
       "--strain", "0.5", "--g", "nan"], "g"),
     (["pressure", "--mass", "1", "--radius", "1e-170", "--k", "0.5"], "radius"),
     (["pressure", "--mass", "1", "--radius", "1e300", "--k", "0.5"], "radius"),
+    (["pressure", "--mass", "0.21", "--radius", "1e154", "--k", "0.5", "--json"], "radius"),
+    (["pressure", "--mass", "0", "--radius", "1e154", "--k", "0.5", "--json"], "radius"),
+    (["pressure", "--mass", "1e300", "--radius", "1e-150", "--k", "0.5"], "mass"),
+    (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
+      "--strain", "0.5", "--g", "1e-320"], "g"),
+    (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
+      "--strain", "1e307", "--json"], "strain"),
+    (["spring", "predict", "--slope1", "1e-310", "--slope2", "1e-309", "--breakpoint", "0.4",
+      "--load", "1e300", "--json"], "load"),
+    (["report", "--radius", "1e154"], "radius"),
 ], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan", "noise-nan",
         "noise-negative", "noisy-seed-negative", "seed-negative", "predict-g-nan",
-        "radius-square-underflows", "radius-square-overflows"])
-def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, argv, field):
+        "radius-square-underflows", "radius-square-overflows", "pressure-support-overflows",
+        "massless-support-overflows", "pressure-overflows", "predict-mass-overflows",
+        "predict-load-overflows", "predict-strain-overflows", "report-support-overflows"])
+def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, synthetic_csv, argv,
+                                                          field):
     frame = tmp_path / "f.pgm"
     if argv[1] in ("track", "summarize"):
         run(capsys, ["tactile", "render", "--grid", "2x2", "--out", str(frame)])
         argv = [*argv, "--prev", str(frame), "--curr", str(frame)]
     elif argv[1] == "render":
         argv = [*argv, "--out", str(frame)]
+    elif argv[0] == "report":
+        argv = [*argv, "--curve", str(synthetic_csv), "--out-dir", str(tmp_path / "report")]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert f"error: {field} must" in err
+    assert not (tmp_path / "report" / "report.json").exists()
 
 
 class TestReportCommand:
@@ -501,17 +531,19 @@ def test_input_too_large_to_serve_exits_2_naming_subcommand(tmp_path, argv, comm
 
 
 # Numeric flags fuzzed one at a time: (argv prefix, valid flag values, the flags' kinds,
-# values that once exited 1, always tried first).
+# values that once exited 1 or printed a non-finite number, always tried first).
 FLAG_FUZZ = {
-    "pressure": (["pressure"], {"--mass": "0.21", "--radius": "0.025", "--k": "0.5"},
+    "pressure": (["pressure", "--json"], {"--mass": "0.21", "--radius": "0.025", "--k": "0.5"},
                  {"--mass": float, "--radius": float, "--k": float, "--g": float,
                   "--n-intervals": int},
-                 [("--radius", 1e-170), ("--radius", 1e300), ("--n-intervals", 2**60)]),
-    "spring predict": (["spring", "predict"],
+                 [("--radius", 1e-170), ("--radius", 1e300), ("--n-intervals", 2**60),
+                  ("--radius", 1e154), ("--mass", 1e306)]),
+    "spring predict": (["spring", "predict", "--json"],
                        {"--slope1": "100", "--slope2": "400", "--breakpoint": "0.4",
                         "--strain": "0.5"},
                        {"--slope1": float, "--slope2": float, "--breakpoint": float,
-                        "--strain": float, "--load": float, "--g": float}, []),
+                        "--strain": float, "--load": float, "--g": float},
+                       [("--g", 1e-320), ("--strain", 1e307)]),
     "tactile render": (["tactile", "render", "--grid", "2x2"],
                        {"--width": "64", "--height": "48", "--noise": "1"},
                        {"--width": int, "--height": int, "--view-width": float, "--noise": float,
@@ -523,6 +555,10 @@ FUZZ_VALUES = {
     # sizes are small or beyond any array, so no child fills memory before it fails
     int: st.integers(-1000, 1000) | st.sampled_from([10**12, 2**60, 2**63, 10**30]),
 }
+
+
+def _reject_constant(token):
+    raise AssertionError(f"stdout holds the non-JSON number {token}")
 
 
 def flag_argv(command, flag, value, out):
@@ -553,6 +589,8 @@ def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
         assert child.returncode in (0, 2), (argv, child.stderr)
         if child.returncode == 2:
             assert child.stderr.startswith("error: "), (argv, child.stderr)
+        elif "--json" in argv:
+            json.loads(child.stdout, parse_constant=_reject_constant)
 
     for flag_value in regressions:
         check = example(flag_value=flag_value)(check)

@@ -138,3 +138,37 @@ def test_underflowing_phase_step_rejected():
     tiny = grasp.GripperGeometry(0.1, full_close_angle=5e-324, rotation_speed=1e-10)
     with pytest.raises(DomainError, match="step_angle"):
         grasp.simulate_phases(tiny)
+
+
+HUGE_SPHERE = pressure.SphericalObject(mass=0.21, radius=1e154)
+DENSE_SPHERE = pressure.SphericalObject(mass=1e300, radius=1e-150)
+TINY_SLOPES = spring.SkinSpec(1e-310, 1e-309, 0.4)
+
+# (field named in the error, call whose finite inputs overflow a result)
+OVERFLOWS = {
+    "line_pressure_closed_form.radius": (
+        "radius", lambda: pressure.line_pressure_closed_form(HUGE_SPHERE, FRICTION)),
+    "line_pressure_closed_form.mass": (
+        "mass", lambda: pressure.line_pressure_closed_form(DENSE_SPHERE, FRICTION)),
+    "line_pressure_quadrature.radius": (
+        "radius", lambda: pressure.line_pressure_quadrature(HUGE_SPHERE, FRICTION)),
+    "line_pressure_quadrature.mass": (
+        "mass", lambda: pressure.line_pressure_quadrature(DENSE_SPHERE, FRICTION)),
+    "equilibrium_residual.radius": (
+        "radius", lambda: pressure.equilibrium_residual(
+            HUGE_SPHERE, FRICTION, pressure.PressureDistribution(p_bottom=0.0))),
+    "predict_load.strain": ("strain", lambda: spring.predict_load(1e307, SPEC)),
+    "predict_strain.load": ("load", lambda: spring.predict_strain(1e300, TINY_SLOPES)),
+    "estimate_object_mass.g": ("g", lambda: spring.estimate_object_mass(0.5, SPEC, g=1e-320)),
+    "simulate_phases.full_close_angle": (
+        "full_close_angle", lambda: grasp.simulate_phases(
+            grasp.GripperGeometry(0.1, full_close_angle=1.7976931348623157e308,
+                                  rotation_speed=1.5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflowing_result_rejected_naming_field(case):
+    field, call = OVERFLOWS[case]
+    with pytest.raises(DomainError, match=rf"^{field} must"):
+        call()

@@ -128,10 +128,13 @@ class TestRatiosAndConversions:
         assert expio.newtons_to_kgf(0.0) == 0.0
 
 
+LABELS = {"title": "t", "x_label": "x", "y_label": "y"}
+
+
 class TestPlots:
     def test_single_series_polyline(self, tmp_path):
         path = tmp_path / "plot.svg"
-        expio.emit_plot([([0.0, 1.0], [0.0, 2.0], "line")], path)
+        expio.emit_plot([([0.0, 1.0], [0.0, 2.0], "line")], path, **LABELS)
         content = path.read_text()
         assert content.count("<polyline") == 1
         assert "line" in content
@@ -141,8 +144,8 @@ class TestPlots:
                   ([0.0, 0.5, 1.0], [0.0, 32.0, 98.0], "fitted")]
         p1 = tmp_path / "a.svg"
         p2 = tmp_path / "b.svg"
-        expio.emit_plot(series, p1, title="t", x_label="x", y_label="y")
-        expio.emit_plot(series, p2, title="t", x_label="x", y_label="y")
+        expio.emit_plot(series, p1, **LABELS)
+        expio.emit_plot(series, p2, **LABELS)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_fit_vs_raw_two_series(self, tmp_path):
@@ -157,19 +160,19 @@ class TestPlots:
         fitted = [fit.predict(s) for s in strains]
         path = tmp_path / "fit.svg"
         expio.emit_plot(
-            [(list(strains), loads, "measured"), (list(strains), fitted, "fitted")], path
-        )
+            [(list(strains), loads, "measured"), (list(strains), fitted, "fitted")], path,
+            **LABELS)
         content = path.read_text()
         assert content.count("<polyline") == 2
         assert "measured" in content and "fitted" in content
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(DomainError):
-            expio.emit_plot([], tmp_path / "x.svg")
+            expio.emit_plot([], tmp_path / "x.svg", **LABELS)
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
-            expio.emit_plot([([0.0], [0.0], "p")], tmp_path / "missing" / "x.svg")
+            expio.emit_plot([([0.0], [0.0], "p")], tmp_path / "missing" / "x.svg", **LABELS)
 
 
 class TestReport:
@@ -187,3 +190,8 @@ class TestReport:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
         assert doc["sections"][0]["metrics"]["slope1"]["unit"] == "N/strain"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_value_is_not_written(self, tmp_path, value):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            expio.write_json({"value": value}, tmp_path / "doc.json")

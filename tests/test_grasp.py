@@ -22,9 +22,8 @@ from twistgrip.pressure import FrictionModel
 FOUR_INCH = GripperGeometry.from_name("4in")
 
 
-def make_object(shape=ShapeClass.CYLINDER, height=0.1, diameter=0.05, mass=0.2, label=""):
-    return ObjectDescriptor(shape_class=shape, height=height, diameter=diameter,
-                            mass=mass, label=label)
+def make_object(shape=ShapeClass.CYLINDER, height=0.1, diameter=0.05, mass=0.2):
+    return ObjectDescriptor(shape_class=shape, height=height, diameter=diameter, mass=mass)
 
 
 class TestGripperGeometry:
@@ -66,7 +65,7 @@ def test_phase_trace_is_a_running_sum_ending_in_holding(geom):
 
 class TestFeasibility:
     def test_coffee_can_feasible(self):
-        obj = make_object(height=0.105, diameter=0.053, mass=0.216, label="coffee can")
+        obj = make_object(height=0.105, diameter=0.053, mass=0.216)  # coffee can
         outcome = grasp_feasibility(GraspScenario(gripper=FOUR_INCH, obj=obj))
         assert outcome.verdict is Verdict.FEASIBLE
         assert outcome.reason_code is Reason.OK

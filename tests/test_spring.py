@@ -24,7 +24,7 @@ SPEC = SkinSpec.from_slopes(100.0, 400.0, 0.4)
 def synthetic_curve(spec, n=50, max_strain=1.0):
     strains = np.linspace(0.0, max_strain, n)
     loads = [predict_load(s, spec) for s in strains]
-    return PayloadCurve(strains=tuple(strains), loads=tuple(loads), source="synthetic")
+    return PayloadCurve(strains=tuple(strains), loads=tuple(loads))
 
 
 class TestSkinSpec:

