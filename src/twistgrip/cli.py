@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import expio, grasp, pressure, spring, tactile
-from .errors import ParseError, TwistgripError, ValidationError, require_key
+from .errors import DomainError, ParseError, TwistgripError, ValidationError, require_key
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -215,8 +216,15 @@ def _load_layout(args):
 
 
 def cmd_tactile_render(args):
+    if args.shift and not all(map(math.isfinite, args.shift)):
+        raise DomainError(f"--shift must be finite, got {' '.join(map(repr, args.shift))}")
     layout = _load_layout(args)
     camera = tactile.CameraModel(width=args.width, height=args.height, view_width=args.view_width)
+    radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
+    if not 0 < radius_px < math.inf:  # a finite view width can still overflow the pixel scale
+        raise DomainError(f"--view-width must leave the marker radius positive and finite in "
+                          f"pixels; {args.view_width!r} m with {layout.marker_diameter!r} m "
+                          f"markers gives {radius_px!r} px")
     deformation = (tactile.Deformation.uniform_shift(layout, *args.shift) if args.shift
                    else tactile.Deformation())
     deformation = dataclasses.replace(deformation, occluded=frozenset(args.occlude or []))
@@ -295,24 +303,14 @@ def cmd_tactile_summarize(args):
 
 
 def cmd_report(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sections = []
-
+    # every section is computed before anything is written, so a failing one leaves no file
     curve = expio.read_payload_csv(args.curve)
     fit = spring.fit_zones(curve)
     strains = list(curve.strains)
     fitted = [fit.predict(s) for s in strains]
     plot_name = "payload_fit.svg"
-    expio.emit_plot(
-        [(strains, list(curve.loads), "measured"), (strains, fitted, "fitted")],
-        out_dir / plot_name,
-        title="Payload curve: measured vs fitted",
-        x_label="strain", y_label="load [N]",
-    )
     _, metrics, _ = _fit_result(fit)
-    sections.append(expio.ReportSection(
-        title="Two-zone spring fit", metrics=metrics, plot=plot_name))
+    sections = [expio.ReportSection(title="Two-zone spring fit", metrics=metrics, plot=plot_name)]
 
     _, metrics, _ = _pressure_result(args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
     sections.append(expio.ReportSection(title="Line pressure cross-check", metrics=metrics))
@@ -340,8 +338,15 @@ def cmd_report(args):
             metrics={"agreement": {"value": f"{rep.n_agree}/{rep.n_total}", "unit": "rows"}},
         ))
 
-    report = expio.Report(sections=tuple(sections))
-    expio.write_report_json(report, out_dir / "report.json")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    expio.emit_plot(
+        [(strains, list(curve.loads), "measured"), (strains, fitted, "fitted")],
+        out_dir / plot_name,
+        title="Payload curve: measured vs fitted",
+        x_label="strain", y_label="load [N]",
+    )
+    expio.write_report_json(expio.Report(sections=tuple(sections)), out_dir / "report.json")
     print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK
 

@@ -164,12 +164,6 @@ class ContactSummary:
     label: str
 
 
-def marker_pixel_position(layout_pos, camera):
-    """Map a normalized (u, v) wall position to pixel coordinates (x, y)."""
-    u, v = layout_pos
-    return u * (camera.width - 1), v * (camera.height - 1)
-
-
 def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     """Render one frame; returns (frame, ground_truth_sidecar).
 
@@ -185,22 +179,20 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
         image = np.zeros((camera.height, camera.width), dtype=float)
     except ValueError as exc:  # more pixels than an array can index
         raise MemoryError(f"{camera.width}x{camera.height} frame: {exc}") from None
-    visible, occluded_ids, clipped_ids = [], [], []
+    ids = [mid for mid, _ in layout.markers]
+    occluded = np.array([mid in deformation.occluded for mid in ids], dtype=bool)
+    shifts = np.array([deformation.displacements.get(mid, (0.0, 0.0)) for mid in ids],
+                      dtype=float).reshape(-1, 2)
+    uv = np.array([pos for _, pos in layout.markers], dtype=float).reshape(-1, 2)
+    cx = uv[:, 0] * (camera.width - 1) + shifts[:, 0]
+    cy = uv[:, 1] * (camera.height - 1) + shifts[:, 1]
+    clipped = ~occluded & ((cx < -radius_px) | (cx > camera.width - 1 + radius_px)
+                           | (cy < -radius_px) | (cy > camera.height - 1 + radius_px))
+    shown = np.flatnonzero(~(occluded | clipped))
+    visible = [{"id": ids[k], "x": x, "y": y}
+               for k, x, y in zip(shown.tolist(), cx[shown].tolist(), cy[shown].tolist())]
 
-    for mid, pos in layout.markers:
-        if mid in deformation.occluded:
-            occluded_ids.append(mid)
-            continue
-        dx, dy = deformation.displacements.get(mid, (0.0, 0.0))
-        cx, cy = marker_pixel_position(pos, camera)
-        cx, cy = cx + dx, cy + dy
-        if (cx < -radius_px or cx > camera.width - 1 + radius_px
-                or cy < -radius_px or cy > camera.height - 1 + radius_px):
-            clipped_ids.append(mid)
-            continue
-        visible.append({"id": mid, "x": float(cx), "y": float(cy)})
-
-    _stamp_discs(image, np.array([(m["x"], m["y"]) for m in visible]).reshape(-1, 2), radius_px)
+    _stamp_discs(image, np.column_stack((cx[shown], cy[shown])), radius_px)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         image = image + rng.normal(0.0, noise_sigma, size=image.shape)
@@ -210,8 +202,8 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
         "timestamp": 0,
         "marker_radius_px": float(radius_px),
         "visible": visible,
-        "occluded": sorted(occluded_ids),
-        "clipped": sorted(clipped_ids),
+        "occluded": sorted(ids[k] for k in np.flatnonzero(occluded).tolist()),
+        "clipped": sorted(ids[k] for k in np.flatnonzero(clipped).tolist()),
         "noise_sigma": float(noise_sigma),
         "seed": int(seed),
     }
@@ -221,14 +213,15 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
 def _stamp_discs(image, centres, radius_px):
     """Max-composite one anti-aliased disc per (x, y) centre into image, in place.
 
-    Each disc is evaluated on the window floor(c) +/- (ceil(r) + 2) per axis,
-    clipped to the image; this covers [floor(c - r - 1), ceil(c + r + 1)],
-    outside which the disc value is 0. Discs are stamped in batches whose
-    windows hold at most one image's worth of pixels, so memory stays bounded
-    for any radius and marker count.
+    Each disc is evaluated on the window floor(c) +/- (ceil(r) + 1) per axis,
+    clipped to the image. A pixel outside it lies more than ceil(r) + 1 >= r + 1
+    from c, at least 0.5 px past the r + 0.5 end of the edge ramp, so its disc
+    value is 0. Discs are stamped in batches whose windows hold at most one
+    image's worth of pixels, so memory stays bounded for any radius and marker
+    count.
     """
     height, width = image.shape
-    reach = int(np.ceil(radius_px)) + 2
+    reach = int(np.ceil(radius_px)) + 1
     span_x, span_y = min(2 * reach + 1, width), min(2 * reach + 1, height)
     starts = np.maximum(np.floor(centres) - reach, 0).astype(int)
     xs = starts[:, 0, None] + np.arange(span_x)
@@ -308,14 +301,60 @@ def detect_markers(binary, min_area=5, expected_area=None):
     # per-run coordinate sums are integers, exact in float64, so the means match center_of_mass
     mean_x = np.bincount(component, weights=(starts + ends - 1) * lengths // 2) / areas
     mean_y = np.bincount(component, weights=rows * lengths) / areas
-    detections = []
-    for cx, cy, area in zip(mean_x.tolist(), mean_y.tolist(), areas.tolist()):
-        if area < min_area:
-            continue
-        merged = expected_area is not None and area > MERGED_AREA_FACTOR * expected_area
-        detections.append(Detection(centroid=(cx, cy), area=area, merged=merged))
-    detections.sort(key=lambda d: (d.centroid[1], d.centroid[0]))
-    return MarkerSet(detections=tuple(detections))
+    kept = np.flatnonzero(~(areas < min_area))
+    kept = kept[np.lexsort((mean_x[kept], mean_y[kept]))]  # stable, by (y, x)
+    areas = areas[kept]
+    merged = (np.zeros(len(kept), dtype=bool) if expected_area is None
+              else areas > MERGED_AREA_FACTOR * expected_area)
+    return MarkerSet(detections=tuple(
+        Detection(centroid=(cx, cy), area=area, merged=flag)
+        for cx, cy, area, flag in zip(mean_x[kept].tolist(), mean_y[kept].tolist(),
+                                      areas.tolist(), merged.tolist())))
+
+
+def _cell_candidates(prev_pts, curr_pts, reach):
+    """Candidate pairs (i, j) of a previous point i and a current point j.
+
+    Cell lists (Hockney and Eastwood, "Computer Simulation Using Particles",
+    1981): the current points are bucketed into x-cells at least reach wide
+    and keyed by (cell, rank of y), so each previous point reads the y-window
+    [y - reach, y + reach] of the cells from cell(x - reach) to cell(x + reach)
+    with two searchsorted calls per cell. The cell map is monotone, so these
+    cells hold the whole x-window [x - reach, x + reach]: the candidates hold
+    every pair inside both windows. With the reach one ulp past the gate, a
+    gap that rounds onto the gate is still a candidate and the distance test
+    decides.
+    """
+    n_curr = len(curr_pts)
+    if not n_curr:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    # halved coordinates: x / 2 - x0 cannot overflow for finite x, and clipping
+    # to [0, span] bounds the cell number by about n_curr for any query
+    half_x = curr_pts[:, 0] / 2
+    x0 = half_x.min()
+    span = half_x.max() - x0
+    width = max(reach / 2, span / n_curr)
+
+    def cell(x):
+        return (np.clip(x / 2 - x0, 0.0, span) / width).astype(np.int64)
+
+    by_y = np.argsort(curr_pts[:, 1], kind="stable")
+    rank = np.empty(n_curr, dtype=np.int64)
+    rank[by_y] = np.arange(n_curr)
+    stride = n_curr + 1
+    keys = cell(curr_pts[:, 0]) * stride + rank
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    sorted_y = curr_pts[by_y, 1]
+    with np.errstate(over="ignore"):  # a window edge past the largest float is +/-inf
+        (x_lo, y_lo), (x_hi, y_hi) = (prev_pts - reach).T, (prev_pts + reach).T
+    first = cell(x_lo)
+    owner, cells = _expand_ranges(first, cell(x_hi) - first + 1)
+    y_lo = np.searchsorted(sorted_y, y_lo, side="left")[owner]
+    y_hi = np.searchsorted(sorted_y, y_hi, side="right")[owner]
+    lo = np.searchsorted(sorted_keys, cells * stride + y_lo)
+    k, ranked = _expand_ranges(lo, np.searchsorted(sorted_keys, cells * stride + y_hi) - lo)
+    return owner[k], by_key[ranked]
 
 
 def track(prev, curr, gate):
@@ -332,24 +371,15 @@ def track(prev, curr, gate):
     require_positive(gate=gate)
     prev_pts = prev.centroids()
     curr_pts = curr.centroids()
-    # x-window per previous detection over the current ones sorted by x; the
-    # reach is one ulp past the gate, so a difference that rounds onto the
-    # gate is still a candidate and the distance test below decides.
-    reach = np.nextafter(gate, np.inf)
-    by_x = np.argsort(curr_pts[:, 0], kind="stable")
-    sorted_x = curr_pts[by_x, 0]
-    lo = np.searchsorted(sorted_x, prev_pts[:, 0] - reach, side="left")
-    counts = np.searchsorted(sorted_x, prev_pts[:, 0] + reach, side="right") - lo
-    i, ranked = _expand_ranges(lo, counts)
-    j = by_x[ranked]
+    i, j = _cell_candidates(prev_pts, curr_pts, np.nextafter(gate, np.inf))
+    # a gap below about 1e-154 squares to a subnormal or 0, one above about
+    # 1e154 to inf; hypot measures both, and a gap past the largest float is inf
     with np.errstate(over="ignore"):
         dx, dy = (prev_pts[i] - curr_pts[j]).T
         dist_sq = dx * dx + dy * dy
-    dist = np.sqrt(dist_sq)
-    # a gap below about 1e-154 squares to a subnormal or 0, one above about
-    # 1e154 to inf; hypot measures both
-    exact = (dist_sq < np.finfo(float).tiny) | (dist_sq == np.inf)
-    dist[exact] = np.hypot(dx[exact], dy[exact])
+        dist = np.sqrt(dist_sq)
+        exact = (dist_sq < np.finfo(float).tiny) | (dist_sq == np.inf)
+        dist[exact] = np.hypot(dx[exact], dy[exact])
     in_gate = dist <= gate
     i, j, dist = i[in_gate], j[in_gate], dist[in_gate]
     order = np.lexsort((j, i, dist))

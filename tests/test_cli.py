@@ -294,6 +294,8 @@ class TestTactileCommands:
     (["tactile", "summarize", "--air-support", "nan"], "air_support_kpa"),
     (["tactile", "summarize", "--air-support", "-1"], "air_support_kpa"),
     (["tactile", "render", "--grid", "2x2", "--view-width", "nan"], "view_width"),
+    (["tactile", "render", "--grid", "2x2", "--view-width", "1e-320"], "--view-width"),
+    (["tactile", "render", "--grid", "2x2", "--shift", "nan", "0"], "--shift"),
     (["tactile", "render", "--grid", "2x2", "--noise", "nan"], "noise_sigma"),
     (["tactile", "render", "--grid", "2x2", "--noise", "-1"], "noise_sigma"),
     (["tactile", "render", "--grid", "2x2", "--noise", "1", "--seed", "-1"], "seed"),
@@ -312,7 +314,8 @@ class TestTactileCommands:
     (["spring", "predict", "--slope1", "1e-310", "--slope2", "1e-309", "--breakpoint", "0.4",
       "--load", "1e300", "--json"], "load"),
     (["report", "--radius", "1e154"], "radius"),
-], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan", "noise-nan",
+], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan",
+        "view-width-overflows-radius", "shift-nan", "noise-nan",
         "noise-negative", "noisy-seed-negative", "seed-negative", "predict-g-nan",
         "radius-square-underflows", "radius-square-overflows", "pressure-support-overflows",
         "massless-support-overflows", "pressure-overflows", "predict-mass-overflows",
@@ -331,7 +334,7 @@ def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, synthe
     assert code == 2
     assert out == ""
     assert f"error: {field} must" in err
-    assert not (tmp_path / "report" / "report.json").exists()
+    assert not (tmp_path / "report").exists()  # report writes nothing before every section holds
 
 
 class TestReportCommand:

@@ -22,7 +22,6 @@ from twistgrip.tactile import (
     contact_summary,
     default_gate,
     detect_markers,
-    marker_pixel_position,
     read_pgm,
     render_frame,
     track,
@@ -306,8 +305,8 @@ def _render_reference(layout, deformation, camera, noise_sigma=0.0, seed=0):
             occluded_ids.append(mid)
             continue
         dx, dy = deformation.displacements.get(mid, (0.0, 0.0))
-        cx, cy = marker_pixel_position(pos, camera)
-        cx, cy = cx + dx, cy + dy
+        u, v = pos
+        cx, cy = u * (camera.width - 1) + dx, v * (camera.height - 1) + dy
         if (cx < -radius_px or cx > camera.width - 1 + radius_px
                 or cy < -radius_px or cy > camera.height - 1 + radius_px):
             clipped_ids.append(mid)
@@ -543,6 +542,43 @@ def test_track_huge_gate_measures_gaps_that_square_to_inf():
     assert track(prev, outside, 4e200).matches == ()
     assert track(prev, outside, 5e200).matches == ((0, 0, (3e200, 4e200)),)
     assert track(prev, outside, 5e200) == _track_reference(prev, outside, 5e200)
+
+
+# Cell lists: the cell map must stay monotone and in range however far apart the
+# points are, or pairs inside the gate are lost or the int64 cast overflows.
+
+def assert_track_matches_reference(prev_points, curr_points, gate):
+    prev, curr = _marker_set(prev_points), _marker_set(curr_points)
+    forward, backward = track(prev, curr, gate), track(curr, prev, gate)
+    with np.errstate(over="ignore"):  # the reference's N x M gaps may overflow; track's may not
+        assert forward == _track_reference(prev, curr, gate)
+        assert backward == _track_reference(curr, prev, gate)
+
+
+def test_track_tiny_gate_over_a_wide_spread():
+    # 700 / 1e-200 cells would overflow int64
+    prev = [(0.0, 0.0), (700.0, 0.0), (700.0, 5.0)]
+    curr = [(0.0, 0.0), (700.0, 1e-201), (1e-201, 0.0), (700.0, 5.0 + 1e-14)]
+    assert_track_matches_reference(prev, curr, 1e-200)
+    assert len(track(_marker_set(prev), _marker_set(curr), 1e-200).matches) == 2
+
+
+@pytest.mark.parametrize("gate", [1.0, 1e-300, 1e300, 1e308])
+def test_track_coordinates_whose_difference_overflows(gate):
+    # 1e308 - (-1e308) is inf, and so is a window edge at 1e308 + 1e308
+    prev = [(-1e308, 0.0), (1e308, 0.0), (1e308, -1e308), (0.0, 1e308)]
+    curr = [(1e308, 1e-300), (-1e308, 0.0), (1e308, -1e308), (-1e308, 1e308), (5e307, 1e308)]
+    assert_track_matches_reference(prev, curr, gate)
+
+
+def test_track_dense_lattice_with_a_sub_pitch_shift():
+    # the dense benchmark's 40 x 40 grid on a 640 x 480 frame; the gate of 19.2 px
+    # spans about three columns and four rows
+    coords = np.linspace(0.1, 0.9, 40)
+    prev = [(u * 639, v * 479) for v in coords for u in coords]
+    curr = [(x + 3.7, y - 2.9) for x, y in prev]
+    assert_track_matches_reference(prev, curr, 19.2)
+    assert len(track(_marker_set(prev), _marker_set(curr), 19.2).matches) == 1600
 
 
 # Run-based labelling: detect_markers against the ndimage oracle, and the
