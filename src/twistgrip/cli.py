@@ -82,6 +82,9 @@ _PRESSURE_FIELDS = (
     ("n_intervals", "n_intervals", "1"),
 )
 
+# `grasp validate --dataset` choice -> the bundled table it replays; `report` replays each
+_REPLAY_TABLES = {"table2": "table2_objects", "table3": "table3_submersion"}
+
 
 def _tabulate(fields, values):
     """The --json payload and the report metrics of one result, from its field table."""
@@ -131,9 +134,7 @@ def cmd_pressure(args):
 
 
 def cmd_spring_fit(args):
-    curve = expio.read_payload_csv(
-        args.infile, strain_unit=args.strain_unit, skin_height=args.skin_height
-    )
+    curve = expio.read_payload_csv(args.infile, skin_height=args.skin_height)
     payload, _, human = _fit_result(spring.fit_zones(curve))
     _emit(payload, args.json, human)
     if args.out:
@@ -178,8 +179,7 @@ def cmd_grasp_simulate(args):
 
 
 def cmd_grasp_validate(args):
-    dataset_id = {"table2": "table2_objects", "table3": "table3_submersion"}[args.dataset]
-    report = grasp.validate_against_reference(dataset_id)
+    report = grasp.validate_against_reference(_REPLAY_TABLES[args.dataset])
     payload = {
         "dataset": report.dataset_id,
         "agreement": f"{report.n_agree}/{report.n_total}",
@@ -331,7 +331,7 @@ def cmd_report(args):
         },
     ))
 
-    for dataset in ("table2_objects", "table3_submersion"):
+    for dataset in _REPLAY_TABLES.values():
         rep = grasp.validate_against_reference(dataset)
         sections.append(expio.ReportSection(
             title=f"Feasibility replay: {dataset}",
@@ -371,8 +371,8 @@ def build_parser():
     spring_sub = p.add_subparsers(dest="spring_command", required=True)
     pf = spring_sub.add_parser("fit", help="fit zone slopes and breakpoint from a payload CSV")
     pf.add_argument("--in", dest="infile", required=True, help="payload CSV (strain,force_n)")
-    pf.add_argument("--strain-unit", choices=("fraction", "absolute"), default="fraction")
-    pf.add_argument("--skin-height", type=float, default=None, help="skin height [m], for absolute strain")
+    pf.add_argument("--skin-height", type=float, default=None,
+                    help="skin height [m]; when given, the CSV's strain column holds deflection [m]")
     pf.add_argument("--out", default=None, help="also write the fit as JSON")
     pf.add_argument("--json", action="store_true")
     pf.set_defaults(func=cmd_spring_fit)
@@ -395,7 +395,7 @@ def build_parser():
     gs.add_argument("--json", action="store_true")
     gs.set_defaults(func=cmd_grasp_simulate)
     gv = grasp_sub.add_parser("validate", help="replay a bundled reference table")
-    gv.add_argument("--dataset", choices=("table2", "table3"), required=True)
+    gv.add_argument("--dataset", choices=tuple(_REPLAY_TABLES), required=True)
     gv.add_argument("--json", action="store_true")
     gv.set_defaults(func=cmd_grasp_validate)
 

@@ -7,7 +7,6 @@ as minimal self-generated SVG so byte-level determinism stays testable.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -16,7 +15,7 @@ from .errors import DomainError, ParseError, ValidationError, require_non_negati
 from .pressure import G_DEFAULT
 from .spring import PayloadCurve
 
-DATASET_IDS = ("table1_payload", "table2_objects", "table3_submersion", "durability_constants")
+DATASET_IDS = ("table1_payload", "table2_objects", "table3_submersion")
 
 CSV_HEADER = "strain,force_n"
 
@@ -61,20 +60,12 @@ def load_reference_dataset(dataset_id):
     return ReferenceDataset(id=doc["id"], rows=tuple(doc["rows"]), meta=doc.get("meta", {}))
 
 
-def dataset_checksum(dataset_id):
-    """SHA-256 of the bundled dataset file, hex-encoded."""
-    return hashlib.sha256(_dataset_bytes(dataset_id)).hexdigest()
-
-
-def read_payload_csv(path, strain_unit="fraction", skin_height=None):
+def read_payload_csv(path, skin_height=None):
     """Parse a payload curve CSV into a validated PayloadCurve.
 
-    strain_unit is 'fraction' (strain already normalized) or 'absolute'
-    (column holds deflection in meters; skin_height required to normalize).
+    The first column is strain as a 0-1 fraction, or, when skin_height (m) is
+    given, deflection in meters that is normalized by it.
     """
-    if strain_unit not in ("fraction", "absolute"):
-        raise DomainError(f"strain_unit must be 'fraction' or 'absolute', got {strain_unit!r}")
-
     strains, loads = [], []
     header_seen = False
     # undecodable bytes survive as escapes, so they fail the header or number parse below
@@ -102,7 +93,7 @@ def read_payload_csv(path, strain_unit="fraction", skin_height=None):
         raise ParseError(f"{path}: missing header {CSV_HEADER!r}")
 
     try:
-        if strain_unit == "absolute":
+        if skin_height is not None:
             return PayloadCurve.from_absolute(strains, loads, skin_height)
         return PayloadCurve(strains=tuple(strains), loads=tuple(loads))
     except ValidationError as exc:
@@ -113,7 +104,7 @@ def write_payload_csv(curve, path):
     """Write a payload curve in the canonical CSV format (round-trip exact)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for strain, load in curve.samples:
+        for strain, load in zip(curve.strains, curve.loads):
             fh.write(f"{strain!r},{load!r}\n")
 
 

@@ -25,7 +25,7 @@ class SkinSpec:
     """Two-zone skin spring: slopes S1 < S2 in N per unit strain, breakpoint in strain.
 
     Load is S1 * strain up to the breakpoint and continues with slope S2
-    above it. Use from_geometry when the physical skin parameters are known.
+    above it.
     """
 
     slope1: float
@@ -41,22 +41,6 @@ class SkinSpec:
     def from_slopes(cls, slope1, slope2, breakpoint):
         """Build a spec from lumped slopes S1, S2 (N per unit strain) and the breakpoint."""
         return cls(slope1, slope2, breakpoint)
-
-    @classmethod
-    def from_geometry(cls, skin_volume, skin_height, base_stiffness,
-                      zone1_coeff, zone2_coeff, transition_strain):
-        """Build a spec from the physical skin: S_i = k_i * k0 * V_s / h0.
-
-        skin_volume V_s in m^3, skin_height h0 in m, base_stiffness k0 in N/m
-        per m^2; zone1_coeff / zone2_coeff are the dimensionless multipliers
-        k1 < k2; transition_strain is the breakpoint as a fraction of h0.
-        """
-        require_positive(skin_volume=skin_volume, skin_height=skin_height,
-                         base_stiffness=base_stiffness, zone1_coeff=zone1_coeff,
-                         zone2_coeff=zone2_coeff)
-        cross_section = skin_volume / skin_height
-        return cls(zone1_coeff * base_stiffness * cross_section,
-                   zone2_coeff * base_stiffness * cross_section, transition_strain)
 
 
 @dataclass(frozen=True)
@@ -86,12 +70,12 @@ class PayloadCurve:
     def from_absolute(cls, deflections, loads, skin_height):
         """Build from absolute deflections (m) by normalizing with skin_height."""
         require_positive(skin_height=skin_height)
-        strains = np.asarray(deflections, dtype=float) / skin_height
+        deflections = np.asarray(deflections, dtype=float)
+        with np.errstate(over="ignore"):
+            strains = deflections / skin_height
+        if not np.isfinite(strains[np.isfinite(deflections)]).all():
+            raise DomainError(f"skin_height must give finite strains, got {skin_height!r}")
         return cls(strains=tuple(strains), loads=tuple(loads))
-
-    @property
-    def samples(self):
-        return list(zip(self.strains, self.loads))
 
     def __len__(self):
         return len(self.strains)

@@ -110,6 +110,20 @@ class TestSpringCommands:
         assert "slope1" in err and "slope2" in err
         assert "zone" not in err
 
+    def test_fit_skin_height_reads_deflection(self, capsys, tmp_path):
+        height = 0.05
+        deflections = np.linspace(0.0, 0.04, 30)
+        loads = tuple(predict_load(d / height, SkinSpec.from_slopes(100.0, 400.0, 0.4))
+                      for d in deflections)
+        absolute, fraction = tmp_path / "deflection.csv", tmp_path / "strain.csv"
+        expio.write_payload_csv(PayloadCurve(strains=tuple(deflections), loads=loads), absolute)
+        expio.write_payload_csv(PayloadCurve(strains=tuple(deflections / height), loads=loads),
+                                fraction)
+        code, out, _ = run(capsys, ["spring", "fit", "--in", str(absolute),
+                                    "--skin-height", repr(height), "--json"])
+        assert code == 0
+        assert run(capsys, ["spring", "fit", "--in", str(fraction), "--json"]) == (0, out, "")
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["spring", "fit", "--in", str(tmp_path / "nope.csv")])
         assert code == 2
@@ -314,12 +328,14 @@ class TestTactileCommands:
     (["spring", "predict", "--slope1", "1e-310", "--slope2", "1e-309", "--breakpoint", "0.4",
       "--load", "1e300", "--json"], "load"),
     (["report", "--radius", "1e154"], "radius"),
+    (["spring", "fit", "--skin-height", "1e-320"], "skin_height"),
 ], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan",
         "view-width-overflows-radius", "shift-nan", "noise-nan",
         "noise-negative", "noisy-seed-negative", "seed-negative", "predict-g-nan",
         "radius-square-underflows", "radius-square-overflows", "pressure-support-overflows",
         "massless-support-overflows", "pressure-overflows", "predict-mass-overflows",
-        "predict-load-overflows", "predict-strain-overflows", "report-support-overflows"])
+        "predict-load-overflows", "predict-strain-overflows", "report-support-overflows",
+        "skin-height-overflows-strain"])
 def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, synthetic_csv, argv,
                                                           field):
     frame = tmp_path / "f.pgm"
@@ -330,6 +346,8 @@ def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, synthe
         argv = [*argv, "--out", str(frame)]
     elif argv[0] == "report":
         argv = [*argv, "--curve", str(synthetic_csv), "--out-dir", str(tmp_path / "report")]
+    elif argv[1] == "fit":
+        argv = [*argv, "--in", str(synthetic_csv)]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -494,9 +512,11 @@ def test_fuzz_malformed_file_exits_0_or_2(kind, tmp_path_factory):
     check()
 
 
-# Child processes: each runs the CLI from this checkout's src/, with no user site.
+# Child processes: each runs the CLI from this checkout's src/, with no user site, and
+# turns any warning into an exception, so a numpy overflow warning exits 1, not 2.
 CHILD_ENV = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONNOUSERSITE": "1",
-             "PYTHONPATH": str(Path(twistgrip.__file__).resolve().parents[1])}
+             "PYTHONPATH": str(Path(twistgrip.__file__).resolve().parents[1]),
+             "PYTHONWARNINGS": "error"}
 ADDRESS_SPACE_CAP = 3 * 2**30  # bytes; set in the child only, never in this process
 
 
@@ -541,6 +561,8 @@ FLAG_FUZZ = {
                   "--n-intervals": int},
                  [("--radius", 1e-170), ("--radius", 1e300), ("--n-intervals", 2**60),
                   ("--radius", 1e154), ("--mass", 1e306)]),
+    "spring fit": (["spring", "fit", "--json"], {}, {"--skin-height": float},
+                   [("--skin-height", 1e-320)]),
     "spring predict": (["spring", "predict", "--json"],
                        {"--slope1": "100", "--slope2": "400", "--breakpoint": "0.4",
                         "--strain": "0.5"},
@@ -564,7 +586,7 @@ def _reject_constant(token):
     raise AssertionError(f"stdout holds the non-JSON number {token}")
 
 
-def flag_argv(command, flag, value, out):
+def flag_argv(command, flag, value, workdir):
     prefix, defaults, _, _ = FLAG_FUZZ[command]
     if flag == "--load":  # --strain and --load exclude each other
         defaults = {k: v for k, v in defaults.items() if k != "--strain"}
@@ -573,19 +595,22 @@ def flag_argv(command, flag, value, out):
     else:
         tail = [f"{flag}={value!r}"]
     argv = [*prefix, *(f"{k}={v}" for k, v in defaults.items() if k != flag), *tail]
-    return [*argv, "--out", str(out)] if command == "tactile render" else argv
+    files = {"tactile render": ["--out", str(workdir / "f.pgm")],
+             "spring fit": ["--in", str(workdir / "c.csv")]}
+    return [*argv, *files.get(command, [])]
 
 
 @pytest.mark.parametrize("command", sorted(FLAG_FUZZ))
 def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
     _, _, kinds, regressions = FLAG_FUZZ[command]
+    (tmp_path / "c.csv").write_bytes(VALID_FILES["csv"])
     flag_values = st.sampled_from(sorted(kinds)).flatmap(
         lambda flag: st.tuples(st.just(flag), FUZZ_VALUES[kinds[flag]]))
 
     @settings(max_examples=8, derandomize=True, database=None, deadline=None)
     @given(flag_value=flag_values)
     def check(flag_value):
-        argv = flag_argv(command, *flag_value, tmp_path / "f.pgm")
+        argv = flag_argv(command, *flag_value, tmp_path)
         child = subprocess.run([sys.executable, "-m", "twistgrip.cli", *argv], env=CHILD_ENV,
                                capture_output=True, text=True, timeout=60,
                                preexec_fn=_cap_address_space)

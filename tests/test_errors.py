@@ -17,8 +17,6 @@ SPHERE = pressure.SphericalObject(mass=0.21, radius=0.025)
 FRICTION = pressure.FrictionModel(k=0.5)
 SPEC = spring.SkinSpec(100.0, 400.0, 0.4)
 FIT = spring.ZoneFit(100.0, 400.0, 0.4, rms_relative_error=0.0, max_fitted_strain=1.0)
-GEOMETRY = dict(skin_volume=1e-5, skin_height=0.02, base_stiffness=1e4,
-                zone1_coeff=1.0, zone2_coeff=4.0)
 LAYOUT = tactile.MarkerLayout.grid(2, 2)
 CAMERA = tactile.CameraModel(width=64, height=48)
 NO_MATCHES = tactile.DisplacementField(matches=(), unmatched_previous=(), unmatched_current=())
@@ -49,10 +47,6 @@ BOUNDARIES = {
     "SkinSpec.slope1": ("slope1", lambda x: spring.SkinSpec(x, 400.0, 0.4)),
     "SkinSpec.slope2": ("slope2", lambda x: spring.SkinSpec(100.0, x, 0.4)),
     "SkinSpec.breakpoint": ("breakpoint", lambda x: spring.SkinSpec(100.0, 400.0, x)),
-    **{f"SkinSpec.from_geometry.{name}": (
-        name, lambda x, name=name: spring.SkinSpec.from_geometry(
-            **{**GEOMETRY, name: x}, transition_strain=0.4))
-       for name in GEOMETRY},
     "PayloadCurve.from_absolute.skin_height": (
         "skin_height", lambda x: spring.PayloadCurve.from_absolute((0.0, 0.001), (0.0, 1.0), x)),
     "predict_load.strain": ("strain", lambda x: spring.predict_load(x, SPEC)),
@@ -89,8 +83,7 @@ BOUNDARIES = {
     "payload_to_weight_ratio.gripper_weight_kg": (
         "gripper_weight_kg", lambda x: expio.payload_to_weight_ratio(30.0, x)),
     "read_payload_csv.skin_height": (
-        "skin_height", lambda x: expio.read_payload_csv(
-            _write_csv(), strain_unit="absolute", skin_height=x)),
+        "skin_height", lambda x: expio.read_payload_csv(_write_csv(), skin_height=x)),
 }
 
 

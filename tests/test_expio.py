@@ -1,3 +1,6 @@
+import hashlib
+from importlib import resources
+
 import pytest
 
 from twistgrip import expio
@@ -9,14 +12,20 @@ DATASET_CHECKSUMS = {
     "table1_payload": "acc904eb606886d750bdb3a2828ab50eb9f66742cbe1e9ee19697751a6637841",
     "table2_objects": "b2cc7aec4386909adf99069edbe1e1876985fa4aa6a90d2d42c23e7547f9fbbc",
     "table3_submersion": "f02e1861f7dde14c8776b627b72034838d60f20d92b620510dc3089117145e77",
-    "durability_constants": "c24611402138b515e8cc29d417abe4b612c5a1fd28d6811968d493a8d02e382e",
 }
+PACKAGED = resources.files("twistgrip.data")
 
 
 class TestReferenceDatasets:
+    def test_every_shipped_dataset_is_pinned(self):
+        shipped = {f.name.removesuffix(".json") for f in PACKAGED.iterdir()
+                   if f.name.endswith(".json")}
+        assert shipped == set(expio.DATASET_IDS) == set(DATASET_CHECKSUMS)
+
     @pytest.mark.parametrize("dataset_id", expio.DATASET_IDS)
     def test_checksums_pinned(self, dataset_id):
-        assert expio.dataset_checksum(dataset_id) == DATASET_CHECKSUMS[dataset_id]
+        data = PACKAGED.joinpath(f"{dataset_id}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == DATASET_CHECKSUMS[dataset_id]
 
     def test_payload_row_values(self):
         row = expio.load_reference_dataset("table1_payload").rows[0]
@@ -37,11 +46,6 @@ class TestReferenceDatasets:
         assert fractions == [0.0, 0.3, 0.6, 0.9]
         assert rates == [1.0, 1.0, 0.08, 0.0]
 
-    def test_durability_constants(self):
-        row = expio.load_reference_dataset("durability_constants").rows[0]
-        assert row["open_close_trials"] == 400000
-        assert row["skin_cut_fractions_percent"] == [12.5, 25.0, 37.5, 50.0, 62.5, 75.0, 87.5, 100.0]
-
     def test_unknown_dataset_rejected(self):
         with pytest.raises(DomainError):
             expio.load_reference_dataset("table9")
@@ -53,7 +57,7 @@ class TestPayloadCsv:
         path.write_text("strain,force_n\n0,0\n0.5,40\n")
         curve = expio.read_payload_csv(path)
         assert len(curve) == 2
-        assert curve.samples == [(0.0, 0.0), (0.5, 40.0)]
+        assert (curve.strains, curve.loads) == ((0.0, 0.5), (0.0, 40.0))
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -89,17 +93,11 @@ class TestPayloadCsv:
         assert back.strains == curve.strains
         assert back.loads == curve.loads
 
-    def test_absolute_strain_unit(self, tmp_path):
+    def test_skin_height_normalizes_deflection(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("strain,force_n\n0,0\n0.025,40\n")
-        curve = expio.read_payload_csv(path, strain_unit="absolute", skin_height=0.05)
+        curve = expio.read_payload_csv(path, skin_height=0.05)
         assert curve.strains == pytest.approx((0.0, 0.5))
-
-    def test_absolute_requires_skin_height(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        path.write_text("strain,force_n\n0,0\n0.025,40\n")
-        with pytest.raises(DomainError):
-            expio.read_payload_csv(path, strain_unit="absolute")
 
 
 class TestRatiosAndConversions:

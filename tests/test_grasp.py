@@ -175,5 +175,5 @@ class TestReferenceValidation:
                              Verdict.INFEASIBLE, Verdict.INFEASIBLE]
 
     def test_unsupported_dataset_rejected(self):
-        with pytest.raises(DomainError):
-            validate_against_reference("durability_constants")
+        with pytest.raises(DomainError, match="no feasibility interpretation"):
+            validate_against_reference("table1_payload")

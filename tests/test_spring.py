@@ -39,19 +39,6 @@ class TestSkinSpec:
         with pytest.raises(DomainError, match=field):
             SkinSpec(**values)
 
-    def test_positive_parameters_required(self):
-        with pytest.raises(DomainError, match="skin_volume"):
-            SkinSpec.from_geometry(skin_volume=0.0, skin_height=1.0, base_stiffness=1.0,
-                                   zone1_coeff=1.0, zone2_coeff=2.0, transition_strain=0.4)
-
-    def test_lumped_slopes_unbundle(self):
-        spec = SkinSpec.from_geometry(skin_volume=2e-5, skin_height=0.05, base_stiffness=5e5,
-                                      zone1_coeff=0.5, zone2_coeff=2.0, transition_strain=0.4)
-        # cross-section V_s / h0 = 4e-4 m^2
-        assert spec.slope1 == pytest.approx(0.5 * 5e5 * 4e-4)
-        assert spec.slope2 == pytest.approx(4.0 * spec.slope1)
-        assert spec.breakpoint == 0.4
-
 
 class TestPayloadCurve:
     def test_non_monotone_strain_rejected(self):
@@ -69,6 +56,15 @@ class TestPayloadCurve:
     def test_from_absolute_normalizes(self):
         curve = PayloadCurve.from_absolute([0.0, 0.025, 0.05], [0.0, 10.0, 20.0], skin_height=0.05)
         assert curve.strains == pytest.approx((0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("skin_height", [1e-320, 1e-300])
+    def test_from_absolute_overflowing_strain_names_skin_height(self, skin_height):
+        with pytest.raises(DomainError, match="skin_height must give finite strains"):
+            PayloadCurve.from_absolute([0.0, 1e10], [0.0, 1.0], skin_height)
+
+    def test_from_absolute_non_finite_deflection_stays_a_sample_error(self):
+        with pytest.raises(ValidationError, match="payload samples must be finite"):
+            PayloadCurve.from_absolute([0.0, math.inf], [0.0, 1.0], 0.05)
 
 
 class TestPredict:
