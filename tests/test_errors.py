@@ -17,10 +17,13 @@ SPHERE = pressure.SphericalObject(mass=0.21, radius=0.025)
 FRICTION = pressure.FrictionModel(k=0.5)
 SPEC = spring.SkinSpec(100.0, 400.0, 0.4)
 FIT = spring.ZoneFit(100.0, 400.0, 0.4, rms_relative_error=0.0, max_fitted_strain=1.0)
+GRIPPER = grasp.GripperGeometry(0.1)
+OBJECT = grasp.ObjectDescriptor(grasp.ShapeClass.SPHERE, height=0.05, diameter=0.05, mass=0.1)
 LAYOUT = tactile.MarkerLayout.grid(2, 2)
 CAMERA = tactile.CameraModel(width=64, height=48)
 NO_MATCHES = tactile.DisplacementField(matches=(), unmatched_previous=(), unmatched_current=())
 EMPTY = tactile.MarkerSet(detections=())
+FRAME = tactile.TactileFrame(pixels=[[0, 255]])
 
 
 def _write_csv():
@@ -47,6 +50,10 @@ BOUNDARIES = {
     "SkinSpec.slope1": ("slope1", lambda x: spring.SkinSpec(x, 400.0, 0.4)),
     "SkinSpec.slope2": ("slope2", lambda x: spring.SkinSpec(100.0, x, 0.4)),
     "SkinSpec.breakpoint": ("breakpoint", lambda x: spring.SkinSpec(100.0, 400.0, x)),
+    **{f"SkinSpec.from_slopes.{name}": (
+        name, lambda x, name=name: spring.SkinSpec.from_slopes(
+            **{"slope1": 100.0, "slope2": 400.0, "breakpoint": 0.4, name: x}))
+       for name in ("slope1", "slope2", "breakpoint")},
     "PayloadCurve.from_absolute.skin_height": (
         "skin_height", lambda x: spring.PayloadCurve.from_absolute((0.0, 0.001), (0.0, 1.0), x)),
     "predict_load.strain": ("strain", lambda x: spring.predict_load(x, SPEC)),
@@ -66,6 +73,9 @@ BOUNDARIES = {
         name, lambda x, name=name: grasp.ObjectDescriptor(
             grasp.ShapeClass.SPHERE, **{"height": 0.05, "diameter": 0.05, "mass": 0.1, name: x}))
        for name in ("height", "diameter", "mass")},
+    "GraspScenario.submersion_fraction": (
+        "submersion_fraction",
+        lambda x: grasp.GraspScenario(GRIPPER, OBJECT, submersion_fraction=x)),
     "MarkerLayout.marker_diameter": (
         "marker_diameter", lambda x: tactile.MarkerLayout(markers=(), marker_diameter=x)),
     **{f"CameraModel.{name}": (name, lambda x, name=name: tactile.CameraModel(**{name: x}))
@@ -75,6 +85,11 @@ BOUNDARIES = {
         lambda x: tactile.render_frame(LAYOUT, tactile.Deformation(), CAMERA, noise_sigma=x)),
     "render_frame.seed": (
         "seed", lambda x: tactile.render_frame(LAYOUT, tactile.Deformation(), CAMERA, seed=x)),
+    "binarize.threshold": ("threshold", lambda x: tactile.binarize(FRAME, threshold=x)),
+    **{f"Deformation.uniform_shift.{name}": (
+        "displacement", lambda x, name=name: tactile.Deformation.uniform_shift(
+            LAYOUT, **{"dx": 0.0, "dy": 0.0, name: x}))
+       for name in ("dx", "dy")},
     "track.gate": ("gate", lambda x: tactile.track(EMPTY, EMPTY, gate=x)),
     "contact_summary.air_support_kpa": (
         "air_support_kpa", lambda x: tactile.contact_summary(NO_MATCHES, air_support_kpa=x)),
