@@ -246,17 +246,16 @@ def _detect_file(path, args):
 
 def cmd_tactile_detect(args):
     markers = _detect_file(args.infile, args)
+    rows = list(zip(markers.xy.tolist(), markers.areas.tolist(), markers.merged.tolist()))
     payload = {
         "count": len(markers),
         "detections": [
-            {"x": d.centroid[0], "y": d.centroid[1], "area": d.area, "merged": d.merged}
-            for d in markers.detections
+            {"x": x, "y": y, "area": area, "merged": merged} for (x, y), area, merged in rows
         ],
     }
     human = [f"{len(markers)} markers detected"]
-    for d in markers.detections:
-        human.append(f"  ({d.centroid[0]:.2f}, {d.centroid[1]:.2f}) area={d.area}"
-                     + (" merged" if d.merged else ""))
+    for (x, y), area, merged in rows:
+        human.append(f"  ({x:.2f}, {y:.2f}) area={area}" + (" merged" if merged else ""))
     _emit(payload, args.json, human)
     return EXIT_OK
 
@@ -268,16 +267,15 @@ def _track_from_files(args):
 
 def cmd_tactile_track(args):
     field = _track_from_files(args)
+    matches = list(zip(field.prev_index.tolist(), field.curr_index.tolist(),
+                       field.shifts.tolist()))
     payload = {
-        "matches": [
-            {"prev": i, "curr": j, "dx": v[0], "dy": v[1]} for i, j, v in field.matches
-        ],
-        "unmatched_previous": list(field.unmatched_previous),
-        "unmatched_current": list(field.unmatched_current),
+        "matches": [{"prev": i, "curr": j, "dx": dx, "dy": dy} for i, j, (dx, dy) in matches],
+        "unmatched_previous": field.lost.tolist(),
+        "unmatched_current": field.appeared.tolist(),
     }
-    human = [f"{len(field.matches)} matched, "
-             f"{len(field.unmatched_previous)} lost, {len(field.unmatched_current)} new"]
-    for i, j, (dx, dy) in field.matches:
+    human = [f"{len(matches)} matched, {len(field.lost)} lost, {len(field.appeared)} new"]
+    for i, j, (dx, dy) in matches:
         human.append(f"  {i} -> {j}: ({dx:+.2f}, {dy:+.2f}) px")
     _emit(payload, args.json, human)
     return EXIT_OK

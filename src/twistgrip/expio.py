@@ -2,8 +2,8 @@
 
 Payload curves travel as CSV (`strain,force_n`, strain as a 0-1 fraction,
 `#` comments). Reference measurement tables ship as versioned JSON resources
-inside the package; their integrity is pinned by checksums. Plots are emitted
-as minimal self-generated SVG so byte-level determinism stays testable.
+inside the package. Plots are emitted as minimal self-generated SVG so
+byte-level determinism stays testable.
 """
 from __future__ import annotations
 

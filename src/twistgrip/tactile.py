@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,6 +26,7 @@ BINARIZE_THRESHOLD_DEFAULT = 128
 MERGED_AREA_FACTOR = 2.5
 GATE_DIAMETER_FACTOR = 3.0
 CONTACT_THRESHOLD_PX = 1.0
+CHUNK_PIXELS = 2**14  # bound on the pixels of each render temporary
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,11 @@ class Deformation:
 
 @dataclass
 class TactileFrame:
-    """Single-channel frame; pixels is a (height, width) uint8 array."""
+    """Single-channel frame; pixels is a (height, width) uint8 array.
+
+    A uint8 array is kept as given. Any other array is converted, and must
+    hold integers in [0, 255] or ValidationError names pixels.
+    """
 
     pixels: np.ndarray
 
@@ -114,7 +120,16 @@ class TactileFrame:
         pixels = np.asarray(self.pixels)
         if pixels.ndim != 2 or pixels.size == 0:
             raise ValidationError("pixels must be a non-empty 2-D array")
-        self.pixels = pixels.astype(np.uint8)
+        if pixels.dtype != np.uint8:
+            if pixels.dtype.kind not in "biuf":
+                raise ValidationError(f"pixels must be numbers, got dtype {pixels.dtype}")
+            values = pixels.astype(float)
+            bad = ~((values >= 0) & (values <= 255) & (values == np.rint(values)))
+            if bad.any():
+                raise ValidationError(f"pixels must be integers in [0, 255], "
+                                      f"got {values[bad][0].item()!r}")
+            pixels = pixels.astype(np.uint8)
+        self.pixels = pixels
 
     @property
     def width(self):
@@ -125,34 +140,85 @@ class TactileFrame:
         return self.pixels.shape[0]
 
 
-@dataclass(frozen=True)
-class Detection:
-    centroid: tuple  # (x, y) sub-pixel
-    area: int
-    merged: bool = False
+def _arrays_equal(a, b):
+    """Same type, and every field array_equal: the == of the array-backed results."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkerSet:
-    detections: tuple
+    """Detected blobs, one row per marker, ordered by centroid (y, x)."""
+
+    xy: np.ndarray  # (N, 2) sub-pixel centroids (x, y)
+    areas: np.ndarray  # (N,) int64 pixel counts
+    merged: np.ndarray  # (N,) bool, area above MERGED_AREA_FACTOR * expected area
+
+    def __post_init__(self):
+        object.__setattr__(self, "xy", np.asarray(self.xy, dtype=float).reshape(-1, 2))
+        object.__setattr__(self, "areas", np.asarray(self.areas, dtype=np.int64))
+        object.__setattr__(self, "merged", np.asarray(self.merged, dtype=bool))
+        if not len(self.xy) == len(self.areas) == len(self.merged):
+            raise ValidationError("xy, areas and merged must hold one entry per marker")
+
+    __eq__ = _arrays_equal
 
     def __len__(self):
-        return len(self.detections)
+        return len(self.xy)
 
     def centroids(self):
-        return np.array([d.centroid for d in self.detections], dtype=float).reshape(-1, 2)
+        return self.xy
+
+    @property
+    def detections(self):
+        """Read-only (centroid, area, merged) records in Python types, for perfbench's check."""
+        return tuple(SimpleNamespace(centroid=(x, y), area=area, merged=flag)
+                     for (x, y), area, flag in zip(self.xy.tolist(), self.areas.tolist(),
+                                                   self.merged.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementField:
-    """Matched detection index pairs with pixel vectors, plus leftovers."""
+    """Matched detection index pairs with pixel vectors, plus leftovers.
 
-    matches: tuple  # ((prev_idx, curr_idx, (dx, dy)), ...)
-    unmatched_previous: tuple
-    unmatched_current: tuple
+    Match k moves previous detection prev_index[k] to current detection
+    curr_index[k] by shifts[k]; matches are ordered by previous index. lost and
+    appeared are the unmatched previous and current indices, increasing.
+    """
+
+    prev_index: np.ndarray  # (K,) int64
+    curr_index: np.ndarray  # (K,) int64
+    shifts: np.ndarray  # (K, 2) (dx, dy) px
+    lost: np.ndarray  # int64
+    appeared: np.ndarray  # int64
+
+    def __post_init__(self):
+        for name in ("prev_index", "curr_index", "lost", "appeared"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float).reshape(-1, 2))
+        if not len(self.prev_index) == len(self.curr_index) == len(self.shifts):
+            raise ValidationError("prev_index, curr_index and shifts must hold one entry per match")
+
+    __eq__ = _arrays_equal
 
     def vectors(self):
-        return np.array([v for _, _, v in self.matches], dtype=float).reshape(-1, 2)
+        return self.shifts
+
+    # Read-only tuples in Python types, for perfbench's check.
+    @property
+    def matches(self):
+        """((prev_idx, curr_idx, (dx, dy)), ...)"""
+        return tuple(zip(self.prev_index.tolist(), self.curr_index.tolist(),
+                         map(tuple, self.shifts.tolist())))
+
+    @property
+    def unmatched_previous(self):
+        return tuple(self.lost.tolist())
+
+    @property
+    def unmatched_current(self):
+        return tuple(self.appeared.tolist())
 
 
 @dataclass(frozen=True)
@@ -170,7 +236,9 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     Markers are bright anti-aliased discs on a dark background, displaced per
     the deformation and omitted when occluded. A marker pushed fully outside
     the image is silently clipped but recorded in the sidecar. Gaussian pixel
-    noise is seeded, so identical inputs give bit-identical frames.
+    noise is seeded, so identical inputs give bit-identical frames. Besides
+    the float64 image and the uint8 frame, every temporary holds at most
+    CHUNK_PIXELS pixels (or one disc window, if that is larger).
     """
     require_non_negative(noise_sigma=noise_sigma, seed=seed)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
@@ -194,10 +262,20 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
 
     _stamp_discs(image, np.column_stack((cx[shown], cy[shown])), radius_px)
     if noise_sigma > 0:
+        # normal(0, s) draws 0.0 + s * z element by element from the same stream
+        # as standard_normal, so chunked draws scaled in place give the same sums
         rng = np.random.default_rng(seed)
-        image = image + rng.normal(0.0, noise_sigma, size=image.shape)
-
-    frame = TactileFrame(pixels=np.clip(np.rint(image), 0, 255))
+        flat = image.reshape(-1)
+        buffer = np.empty(min(CHUNK_PIXELS, flat.size))
+        with np.errstate(over="ignore"):  # a huge sigma saturates, as normal() does
+            for start in range(0, flat.size, CHUNK_PIXELS):
+                chunk = buffer[:flat.size - start]
+                rng.standard_normal(out=chunk)
+                chunk *= noise_sigma
+                flat[start:start + len(chunk)] += chunk
+    np.rint(image, out=image)
+    np.clip(image, 0, 255, out=image)
+    frame = TactileFrame(pixels=image.astype(np.uint8))
     sidecar = {
         "timestamp": 0,
         "marker_radius_px": float(radius_px),
@@ -214,34 +292,38 @@ def _stamp_discs(image, centres, radius_px):
     """Max-composite one anti-aliased disc per (x, y) centre into image, in place.
 
     Each disc is evaluated on the window floor(c) +/- (ceil(r) + 1) per axis,
-    clipped to the image. A pixel outside it lies more than ceil(r) + 1 >= r + 1
-    from c, at least 0.5 px past the r + 0.5 end of the edge ramp, so its disc
-    value is 0. Discs are stamped in batches whose windows hold at most one
-    image's worth of pixels, so memory stays bounded for any radius and marker
-    count.
+    cut to the image size and moved inside the image where it crosses an edge,
+    so it holds every image pixel of the uncut window. A pixel outside that
+    lies more than ceil(r) + 1 >= r + 1 from c, at least 0.5 px past the r + 0.5
+    end of the edge ramp, so its disc value is 0; inside the window, a value of
+    0 leaves the non-negative image as it is. Discs are stamped in batches whose
+    windows hold at most CHUNK_PIXELS pixels (one window, if that is larger),
+    so the temporaries stay small for any radius and marker count.
     """
     height, width = image.shape
     reach = int(np.ceil(radius_px)) + 1
     span_x, span_y = min(2 * reach + 1, width), min(2 * reach + 1, height)
-    starts = np.maximum(np.floor(centres) - reach, 0).astype(int)
+    starts = np.clip(np.floor(centres) - reach, 0, [width - span_x, height - span_y]).astype(int)
     xs = starts[:, 0, None] + np.arange(span_x)
     ys = starts[:, 1, None] + np.arange(span_y)
-    batch = max(image.size // (span_x * span_y), 1)
+    batch = max(CHUNK_PIXELS // (span_x * span_y), 1)
     for b in range(0, len(centres), batch):
         bx, by = xs[b:b + batch, None, :], ys[b:b + batch, :, None]
-        dist = np.hypot(bx - centres[b:b + batch, 0, None, None],
+        disc = np.hypot(bx - centres[b:b + batch, 0, None, None],
                         by - centres[b:b + batch, 1, None, None])
         # 1-px linear edge ramp: symmetric coverage keeps the binary centroid unbiased
-        disc = np.clip(radius_px + 0.5 - dist, 0.0, 1.0) * 255.0
-        inside = (disc > 0) & (bx < width) & (by < height)
-        np.maximum.at(image.reshape(-1), (by * width + bx)[inside], disc[inside])
+        np.subtract(radius_px + 0.5, disc, out=disc)
+        np.clip(disc, 0.0, 1.0, out=disc)
+        disc *= 255.0
+        np.maximum.at(image.reshape(-1), (by * width + bx).reshape(-1), disc.reshape(-1))
 
 
 def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):
     """Threshold to a binary frame: pixel >= threshold maps to 255, else 0."""
     if not 0 <= threshold <= 255:
         raise DomainError(f"threshold must lie in [0, 255], got {threshold}")
-    binary = np.where(frame.pixels >= threshold, 255, 0).astype(np.uint8)
+    binary = (frame.pixels >= threshold).view(np.uint8)
+    binary *= 255
     return TactileFrame(pixels=binary)
 
 
@@ -293,23 +375,24 @@ def detect_markers(binary, min_area=5, expected_area=None):
     8-connected component labeling over row runs; the centroid is the mean of
     member pixel coordinates (sub-pixel). Components below min_area are
     dropped; components above MERGED_AREA_FACTOR * expected_area (when given)
-    are flagged merged.
+    are flagged merged. min_area must be >= 0 and expected_area positive, both
+    finite.
     """
+    require_non_negative(min_area=min_area)
+    if expected_area is not None:
+        require_positive(expected_area=expected_area)
     rows, starts, ends, component = _label_runs(binary.pixels > 0)
     lengths = ends - starts
     areas = np.bincount(component, weights=lengths).astype(np.int64)
     # per-run coordinate sums are integers, exact in float64, so the means match center_of_mass
     mean_x = np.bincount(component, weights=(starts + ends - 1) * lengths // 2) / areas
     mean_y = np.bincount(component, weights=rows * lengths) / areas
-    kept = np.flatnonzero(~(areas < min_area))
+    kept = np.flatnonzero(areas >= min_area)
     kept = kept[np.lexsort((mean_x[kept], mean_y[kept]))]  # stable, by (y, x)
     areas = areas[kept]
     merged = (np.zeros(len(kept), dtype=bool) if expected_area is None
               else areas > MERGED_AREA_FACTOR * expected_area)
-    return MarkerSet(detections=tuple(
-        Detection(centroid=(cx, cy), area=area, merged=flag)
-        for cx, cy, area, flag in zip(mean_x[kept].tolist(), mean_y[kept].tolist(),
-                                      areas.tolist(), merged.tolist())))
+    return MarkerSet(xy=np.column_stack((mean_x[kept], mean_y[kept])), areas=areas, merged=merged)
 
 
 def _cell_candidates(prev_pts, curr_pts, reach):
@@ -382,7 +465,10 @@ def track(prev, curr, gate):
         dist[exact] = np.hypot(dx[exact], dy[exact])
     in_gate = dist <= gate
     i, j, dist = i[in_gate], j[in_gate], dist[in_gate]
-    order = np.lexsort((j, i, dist))
+    # the key i * M + j is exact, unique and ordered as (i, j), and dist holds no
+    # NaN, so a stable sort by dist of the pairs in key order is the (d, i, j) order
+    order = np.argsort(i * len(curr_pts) + j)
+    order = order[np.argsort(dist[order], kind="stable")]
     i, j = i[order], j[order]
     used_prev, used_curr = [False] * len(prev_pts), [False] * len(curr_pts)
     taken = []
@@ -394,12 +480,9 @@ def track(prev, curr, gate):
     taken = np.array(taken, dtype=int)
     taken = taken[np.argsort(i[taken])]  # each previous index is matched at most once
     i, j = i[taken], j[taken]
-    vectors = (curr_pts[j] - prev_pts[i]).tolist()
-    return DisplacementField(
-        matches=tuple(zip(i.tolist(), j.tolist(), map(tuple, vectors))),
-        unmatched_previous=tuple(np.flatnonzero(np.logical_not(used_prev)).tolist()),
-        unmatched_current=tuple(np.flatnonzero(np.logical_not(used_curr)).tolist()),
-    )
+    return DisplacementField(prev_index=i, curr_index=j, shifts=curr_pts[j] - prev_pts[i],
+                             lost=np.flatnonzero(np.logical_not(used_prev)),
+                             appeared=np.flatnonzero(np.logical_not(used_curr)))
 
 
 def contact_summary(field, air_support_kpa=0.0):
@@ -409,8 +492,8 @@ def contact_summary(field, air_support_kpa=0.0):
     it, and contact-with-air when air support is active.
     """
     require_non_negative(air_support_kpa=air_support_kpa)
-    vectors = field.vectors()
-    visible = len(field.matches) + len(field.unmatched_current)
+    vectors = field.shifts
+    visible = len(vectors) + len(field.appeared)
     if len(vectors):
         magnitudes = np.linalg.norm(vectors, axis=1)
         mean_mag = float(np.mean(magnitudes))

@@ -294,6 +294,13 @@ class TestTactileCommands:
         assert out == ""
         assert str(frame) in err and "internal error" not in err
 
+    def test_detect_negative_min_area_exits_2_naming_it(self, capsys, tmp_path):
+        frame = tmp_path / "f.pgm"
+        frame.write_bytes(VALID_FILES["pgm"])
+        code, out, err = run(capsys, ["tactile", "detect", "--in", str(frame), "--min-area", "-3"])
+        assert code == 2
+        assert out == "" and err.startswith("error: min_area must be >= 0")
+
     def test_render_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
@@ -573,7 +580,11 @@ FLAG_FUZZ = {
                        {"--width": "64", "--height": "48", "--noise": "1"},
                        {"--width": int, "--height": int, "--view-width": float, "--noise": float,
                         "--seed": int, "--shift": float},
-                       [("--seed", -1), ("--height", 2**60)]),
+                       [("--seed", -1), ("--height", 2**60), ("--noise", 1e308)]),
+    "tactile summarize": (["tactile", "summarize", "--json"], {},
+                          {"--threshold": int, "--min-area": int, "--gate": float,
+                           "--air-support": float},
+                          [("--min-area", -3)]),
 }
 FUZZ_VALUES = {
     float: st.floats() | st.sampled_from([-1.0, 1e-170, 1e-300, 1e300]),
@@ -596,7 +607,9 @@ def flag_argv(command, flag, value, workdir):
         tail = [f"{flag}={value!r}"]
     argv = [*prefix, *(f"{k}={v}" for k, v in defaults.items() if k != flag), *tail]
     files = {"tactile render": ["--out", str(workdir / "f.pgm")],
-             "spring fit": ["--in", str(workdir / "c.csv")]}
+             "spring fit": ["--in", str(workdir / "c.csv")],
+             "tactile summarize": ["--prev", str(workdir / "prev.pgm"),
+                                   "--curr", str(workdir / "curr.pgm")]}
     return [*argv, *files.get(command, [])]
 
 
@@ -604,6 +617,8 @@ def flag_argv(command, flag, value, workdir):
 def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
     _, _, kinds, regressions = FLAG_FUZZ[command]
     (tmp_path / "c.csv").write_bytes(VALID_FILES["csv"])
+    (tmp_path / "prev.pgm").write_bytes(VALID_FILES["pgm"])  # a 2x4 bar, moved one column on
+    (tmp_path / "curr.pgm").write_bytes(b"P5\n6 4\n255\n" + bytes([0, 0, 0, 255, 255, 0] * 4))
     flag_values = st.sampled_from(sorted(kinds)).flatmap(
         lambda flag: st.tuples(st.just(flag), FUZZ_VALUES[kinds[flag]]))
 

@@ -21,8 +21,9 @@ GRIPPER = grasp.GripperGeometry(0.1)
 OBJECT = grasp.ObjectDescriptor(grasp.ShapeClass.SPHERE, height=0.05, diameter=0.05, mass=0.1)
 LAYOUT = tactile.MarkerLayout.grid(2, 2)
 CAMERA = tactile.CameraModel(width=64, height=48)
-NO_MATCHES = tactile.DisplacementField(matches=(), unmatched_previous=(), unmatched_current=())
-EMPTY = tactile.MarkerSet(detections=())
+NO_MATCHES = tactile.DisplacementField(prev_index=[], curr_index=[], shifts=[], lost=[],
+                                       appeared=[])
+EMPTY = tactile.MarkerSet(xy=[], areas=[], merged=[])
 FRAME = tactile.TactileFrame(pixels=[[0, 255]])
 
 
@@ -86,6 +87,9 @@ BOUNDARIES = {
     "render_frame.seed": (
         "seed", lambda x: tactile.render_frame(LAYOUT, tactile.Deformation(), CAMERA, seed=x)),
     "binarize.threshold": ("threshold", lambda x: tactile.binarize(FRAME, threshold=x)),
+    "detect_markers.min_area": ("min_area", lambda x: tactile.detect_markers(FRAME, min_area=x)),
+    "detect_markers.expected_area": (
+        "expected_area", lambda x: tactile.detect_markers(FRAME, expected_area=x)),
     **{f"Deformation.uniform_shift.{name}": (
         "displacement", lambda x, name=name: tactile.Deformation.uniform_shift(
             LAYOUT, **{"dx": 0.0, "dy": 0.0, name: x}))
@@ -134,6 +138,29 @@ class TestHelpers:
                            (("marker_diameter_m", "x"), "marker_diameter_m.x"), (("gripper",), "gripper")]:
             with pytest.raises(ValidationError, match=re.escape(f"missing key '{path}'")):
                 require_key(doc, *keys)
+
+
+# (field named in the error, call with a finite value outside the field's domain)
+OUT_OF_DOMAIN = {
+    "detect_markers.min_area.negative": (
+        "min_area", lambda: tactile.detect_markers(FRAME, min_area=-3)),
+    **{f"detect_markers.expected_area.{value}": (
+        "expected_area", lambda value=value: tactile.detect_markers(FRAME, expected_area=value))
+       for value in (-1.0, 0.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
+def test_finite_value_outside_domain_rejected_naming_field(case):
+    field, call = OUT_OF_DOMAIN[case]
+    with pytest.raises(DomainError, match=rf"^{field} must"):
+        call()
+
+
+@pytest.mark.parametrize("value", [300, -1, 1.5, math.nan, math.inf, -math.inf, 1j, "x"])
+def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
+    with pytest.raises(ValidationError, match="^pixels must"):
+        tactile.TactileFrame(pixels=[[0, value]])
 
 
 def test_overflowing_marker_scale_rejected():

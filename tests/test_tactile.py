@@ -8,11 +8,11 @@ from scipy import ndimage
 
 from twistgrip.errors import DomainError, ParseError, ValidationError
 from twistgrip.tactile import (
+    CHUNK_PIXELS,
     MARKER_DIAMETER_DEFAULT,
     MERGED_AREA_FACTOR,
     CameraModel,
     Deformation,
-    Detection,
     DisplacementField,
     MarkerLayout,
     MarkerSet,
@@ -65,6 +65,30 @@ class TestLayoutAndFrame:
         with pytest.raises(ValidationError):
             TactileFrame(pixels=np.zeros((0, 0)))
 
+    def test_uint8_pixels_kept_and_others_converted_exactly(self):
+        pixels = np.arange(6, dtype=np.uint8).reshape(2, 3)
+        assert TactileFrame(pixels=pixels).pixels is pixels
+        for other in ([[0.0, 128.0, 255.0]], [[0, 128, 255]], np.array([[0, 128, 255]], np.int16)):
+            converted = TactileFrame(pixels=other).pixels
+            assert converted.dtype == np.uint8 and converted.tolist() == [[0, 128, 255]]
+        assert TactileFrame(pixels=[[True, False]]).pixels.tolist() == [[1, 0]]
+
+
+def test_record_views_hold_python_values_equal_to_the_arrays():
+    frame, _ = render_frame(LAYOUT, Deformation(occluded={3}), CAMERA)
+    prev = detect_pipeline(frame, expected_area=EXPECTED_AREA)
+    curr = detect_pipeline(render_frame(LAYOUT, Deformation.uniform_shift(LAYOUT, 2.0, 1.0),
+                                        CAMERA)[0])
+    field = track(prev, curr, gate=default_gate(LAYOUT, CAMERA))
+    records = [(d.centroid, d.area, d.merged) for d in prev.detections]
+    assert records == list(zip(map(tuple, prev.xy.tolist()), prev.areas.tolist(),
+                               prev.merged.tolist()))
+    assert {type(v) for r in records for v in (*r[0], *r[1:])} == {float, int, bool}
+    assert dict(((i, j), v) for i, j, v in field.matches) == _pairs(field)
+    assert field.unmatched_previous == tuple(field.lost.tolist()) == ()
+    assert field.unmatched_current == tuple(field.appeared.tolist())
+    assert len(field.appeared) == 1  # the marker occluded in the previous frame
+
 
 class TestRenderer:
     def test_empty_layout_uniform_background(self):
@@ -79,7 +103,7 @@ class TestRenderer:
         markers = detect_pipeline(frame)
         assert len(markers) == 1
         truth = sidecar["visible"][0]
-        cx, cy = markers.detections[0].centroid
+        cx, cy = markers.xy[0]
         assert cx == pytest.approx(truth["x"], abs=0.1)
         assert cy == pytest.approx(truth["y"], abs=0.1)
 
@@ -148,7 +172,7 @@ class TestDetection:
         pixels[15:20, 15:20] = 255
         markers = detect_markers(TactileFrame(pixels=pixels), min_area=5)
         assert len(markers) == 1
-        assert markers.detections[0].area == 25
+        assert markers.areas.tolist() == [25]
 
     def test_adjacent_markers_merge_into_one_component(self):
         layout = MarkerLayout(markers=((0, (0.5, 0.5)), (1, (0.5, 0.5))))
@@ -162,14 +186,14 @@ class TestDetection:
         pixels[10:50, 10:50] = 255
         markers = detect_markers(TactileFrame(pixels=pixels), min_area=5, expected_area=100.0)
         assert len(markers) == 1
-        assert markers.detections[0].merged
+        assert markers.merged.tolist() == [True]
 
     def test_single_disc_not_flagged(self):
         layout = MarkerLayout(markers=((0, (0.5, 0.5)),))
         frame, sidecar = render_frame(layout, Deformation(), CAMERA)
         nominal = math.pi * sidecar["marker_radius_px"] ** 2
         markers = detect_pipeline(frame, expected_area=nominal)
-        assert not markers.detections[0].merged
+        assert markers.merged.tolist() == [False]
 
 
 class TestTracking:
@@ -177,8 +201,8 @@ class TestTracking:
         frame, _ = render_frame(LAYOUT, Deformation(), CAMERA)
         markers = detect_pipeline(frame)
         field = track(markers, markers, gate=default_gate(LAYOUT, CAMERA))
-        assert len(field.matches) == 25
-        assert not field.unmatched_previous and not field.unmatched_current
+        assert len(field.prev_index) == 25
+        assert len(field.lost) == 0 and len(field.appeared) == 0
         assert np.abs(field.vectors()).max() == 0.0
 
     def test_uniform_shift_recovered(self):
@@ -187,7 +211,7 @@ class TestTracking:
         prev = detect_pipeline(frame0)
         curr = detect_pipeline(frame1)
         field = track(prev, curr, gate=10.0)
-        assert len(field.matches) == 25
+        assert len(field.prev_index) == 25
         vectors = field.vectors()
         assert np.abs(vectors - [3.0, -2.0]).max() <= 0.5
 
@@ -196,8 +220,8 @@ class TestTracking:
         frame1, _ = render_frame(LAYOUT, Deformation(occluded={12}), CAMERA)
         field = track(detect_pipeline(frame0), detect_pipeline(frame1),
                       gate=default_gate(LAYOUT, CAMERA))
-        assert len(field.unmatched_previous) == 1
-        assert len(field.unmatched_current) == 0
+        assert len(field.lost) == 1
+        assert len(field.appeared) == 0
 
     def test_symmetry_up_to_reversal(self):
         frame0, _ = render_frame(LAYOUT, Deformation(), CAMERA)
@@ -207,9 +231,7 @@ class TestTracking:
         curr = detect_pipeline(frame1)
         forward = track(prev, curr, gate=12.0)
         backward = track(curr, prev, gate=12.0)
-        fwd_pairs = {(i, j) for i, j, _ in forward.matches}
-        bwd_pairs = {(j, i) for i, j, _ in backward.matches}
-        assert fwd_pairs == bwd_pairs
+        assert set(_pairs(forward)) == {(j, i) for i, j in _pairs(backward)}
 
     def test_non_positive_gate_rejected(self):
         frame, _ = render_frame(LAYOUT, Deformation(), CAMERA)
@@ -350,9 +372,10 @@ def _detect_reference(binary, min_area=5, expected_area=None):
             if area < min_area:
                 continue
             merged = expected_area is not None and area > MERGED_AREA_FACTOR * expected_area
-            detections.append(Detection(centroid=(float(cx), float(cy)), area=area, merged=merged))
-    detections.sort(key=lambda d: (d.centroid[1], d.centroid[0]))
-    return MarkerSet(detections=tuple(detections))
+            detections.append(((float(cx), float(cy)), area, merged))
+    detections.sort(key=lambda d: (d[0][1], d[0][0]))
+    return MarkerSet(xy=[d[0] for d in detections], areas=[d[1] for d in detections],
+                     merged=[d[2] for d in detections])
 
 
 def _track_reference(prev, curr, gate):
@@ -360,11 +383,8 @@ def _track_reference(prev, curr, gate):
     prev_pts = prev.centroids()
     curr_pts = curr.centroids()
     if len(prev_pts) == 0 or len(curr_pts) == 0:
-        return DisplacementField(
-            matches=(),
-            unmatched_previous=tuple(range(len(prev_pts))),
-            unmatched_current=tuple(range(len(curr_pts))),
-        )
+        return DisplacementField(prev_index=[], curr_index=[], shifts=[],
+                                 lost=range(len(prev_pts)), appeared=range(len(curr_pts)))
     gaps = prev_pts[:, None, :] - curr_pts[None, :, :]
     with np.errstate(over="ignore"):
         dists = np.linalg.norm(gaps, axis=2)
@@ -388,15 +408,21 @@ def _track_reference(prev, curr, gate):
         matches.append((int(i), int(j), vector))
     matches.sort(key=lambda m: m[0])
     return DisplacementField(
-        matches=tuple(matches),
-        unmatched_previous=tuple(i for i in range(len(prev_pts)) if i not in used_prev),
-        unmatched_current=tuple(j for j in range(len(curr_pts)) if j not in used_curr),
+        prev_index=[m[0] for m in matches], curr_index=[m[1] for m in matches],
+        shifts=[m[2] for m in matches],
+        lost=[i for i in range(len(prev_pts)) if i not in used_prev],
+        appeared=[j for j in range(len(curr_pts)) if j not in used_curr],
     )
 
 
 def _marker_set(points):
-    return MarkerSet(detections=tuple(Detection(centroid=(float(x), float(y)), area=1)
-                                      for x, y in points))
+    return MarkerSet(xy=points, areas=np.ones(len(points)), merged=np.zeros(len(points)))
+
+
+def _pairs(field):
+    """{(prev_idx, curr_idx): (dx, dy)} of a field's matches."""
+    return {(i, j): tuple(v) for i, j, v in zip(field.prev_index.tolist(),
+                                                field.curr_index.tolist(), field.shifts.tolist())}
 
 
 def _layout(positions, diameter=MARKER_DIAMETER_DEFAULT):
@@ -425,11 +451,31 @@ RENDER_CASES = {
     "discs-larger-than-frame": (
         MarkerLayout(markers=GRID.markers, marker_diameter=0.3),
         Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
+    # the two below span several disc batches and noise chunks, the last chunk partial
+    "dense-benchmark-grid": (
+        MarkerLayout(markers=MarkerLayout.grid(40, 40).markers, marker_diameter=0.0005),
+        Deformation(displacements={mid: (0.01 * (mid % 7) - 0.03, 0.02 * (mid % 5))
+                                   for mid in range(1600)}, occluded=set(range(0, 1600, 10))),
+        CAMERA),
+    "ragged-frame": (
+        GRID, Deformation.uniform_shift(GRID, 0.37, -0.61), CameraModel(width=641, height=37)),
 }
 
 
+@pytest.mark.parametrize("case", ["dense-benchmark-grid", "ragged-frame"])
+def test_render_case_spans_several_batches_and_chunks(case):
+    layout, _, camera = RENDER_CASES[case]
+    pixels = camera.width * camera.height
+    assert pixels > CHUNK_PIXELS and pixels % CHUNK_PIXELS  # the last noise chunk is partial
+    span = min(2 * (math.ceil(layout.marker_diameter / 2 * camera.pixels_per_meter) + 1) + 1,
+               camera.width, camera.height)
+    assert len(layout.markers) > CHUNK_PIXELS // (span * span)
+
+
 class TestVectorisedMatchesReference:
-    @pytest.mark.parametrize("noise_sigma", [0.0, 8.0])
+    # at sigma 1e308, s * z overflows to +/-inf: the frame saturates, and the suite's
+    # filter would turn an overflow warning into an error
+    @pytest.mark.parametrize("noise_sigma", [0.0, 8.0, 1e308])
     @pytest.mark.parametrize("case", sorted(RENDER_CASES))
     def test_render_matches_per_marker_loop(self, case, noise_sigma):
         layout, deformation, camera = RENDER_CASES[case]
@@ -511,24 +557,24 @@ def test_track_matches_dense_reference(data):
     assert forward == _track_reference(prev, curr, gate)
     backward = track(curr, prev, gate)
     assert backward == _track_reference(curr, prev, gate)
-    assert ({(j, i): (-dx, -dy) for i, j, (dx, dy) in backward.matches}
-            == {(i, j): v for i, j, v in forward.matches})
+    assert ({(j, i): (-dx, -dy) for (i, j), (dx, dy) in _pairs(backward).items()}
+            == _pairs(forward))
 
 
 def test_track_keeps_pair_whose_x_gap_rounds_onto_the_gate():
     # 2**-53 - (1 + 2**-52) rounds to -1.0, so the reference matches at distance == gate
     prev, curr = _marker_set([(1.0 + 2.0**-52, 0.0)]), _marker_set([(2.0**-53, 0.0)])
-    assert len(track(prev, curr, 1.0).matches) == 1
+    assert len(track(prev, curr, 1.0).prev_index) == 1
     assert track(prev, curr, 1.0) == _track_reference(prev, curr, 1.0)
 
 
 def test_track_tiny_gate_measures_gaps_that_square_to_zero():
     # the x-gap is inside the window, the y-gap of 1e-170 squares to 0
     prev, far = _marker_set([(0.0, 0.0)]), _marker_set([(1e-200, 1e-170)])
-    assert track(prev, far, 1e-200).matches == ()
+    assert _pairs(track(prev, far, 1e-200)) == {}
     assert track(prev, far, 1e-200) == _track_reference(prev, far, 1e-200)
     near = _marker_set([(1e-201, 0.0)])
-    assert track(prev, near, 1e-200).matches == ((0, 0, (1e-201, 0.0)),)
+    assert _pairs(track(prev, near, 1e-200)) == {(0, 0): (1e-201, 0.0)}
     assert track(prev, near, 1e-200) == _track_reference(prev, near, 1e-200)
 
 
@@ -537,10 +583,10 @@ def test_track_huge_gate_measures_gaps_that_square_to_inf():
     # numpy's overflow warning into an error
     prev = _marker_set([(0.0, 0.0)])
     inside, outside = _marker_set([(1e200, 0.0)]), _marker_set([(3e200, 4e200)])
-    assert track(prev, inside, 1e300).matches == ((0, 0, (1e200, 0.0)),)
+    assert _pairs(track(prev, inside, 1e300)) == {(0, 0): (1e200, 0.0)}
     assert track(prev, inside, 1e300) == _track_reference(prev, inside, 1e300)
-    assert track(prev, outside, 4e200).matches == ()
-    assert track(prev, outside, 5e200).matches == ((0, 0, (3e200, 4e200)),)
+    assert _pairs(track(prev, outside, 4e200)) == {}
+    assert _pairs(track(prev, outside, 5e200)) == {(0, 0): (3e200, 4e200)}
     assert track(prev, outside, 5e200) == _track_reference(prev, outside, 5e200)
 
 
@@ -560,7 +606,7 @@ def test_track_tiny_gate_over_a_wide_spread():
     prev = [(0.0, 0.0), (700.0, 0.0), (700.0, 5.0)]
     curr = [(0.0, 0.0), (700.0, 1e-201), (1e-201, 0.0), (700.0, 5.0 + 1e-14)]
     assert_track_matches_reference(prev, curr, 1e-200)
-    assert len(track(_marker_set(prev), _marker_set(curr), 1e-200).matches) == 2
+    assert len(track(_marker_set(prev), _marker_set(curr), 1e-200).prev_index) == 2
 
 
 @pytest.mark.parametrize("gate", [1.0, 1e-300, 1e300, 1e308])
@@ -578,7 +624,7 @@ def test_track_dense_lattice_with_a_sub_pitch_shift():
     prev = [(u * 639, v * 479) for v in coords for u in coords]
     curr = [(x + 3.7, y - 2.9) for x, y in prev]
     assert_track_matches_reference(prev, curr, 19.2)
-    assert len(track(_marker_set(prev), _marker_set(curr), 19.2).matches) == 1600
+    assert len(track(_marker_set(prev), _marker_set(curr), 19.2).prev_index) == 1600
 
 
 # Run-based labelling: detect_markers against the ndimage oracle, and the
