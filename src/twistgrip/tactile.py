@@ -12,6 +12,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,8 +40,10 @@ class MarkerLayout:
     def __post_init__(self):
         ids = [mid for mid, _ in self.markers]
         for mid in ids:
-            if not isinstance(mid, numbers.Integral) or isinstance(mid, bool):
-                raise ValidationError(f"marker id must be an integer, got {mid!r}")
+            if (not isinstance(mid, numbers.Integral) or isinstance(mid, bool)
+                    or not -2**63 <= mid < 2**63):  # ids are read as int64
+                raise ValidationError(f"marker id must be an integer in [-2**63, 2**63), "
+                                      f"got {mid!r}")
         if len(ids) != len(set(ids)):
             raise ValidationError("marker ids must be unique")
         for mid, position in self.markers:
@@ -70,6 +73,22 @@ class MarkerLayout:
                          tuple(require_key(doc, "markers", i, axis) for axis in "uv"))
                         for i in range(len(require_key(doc, "markers"))))
         return cls(markers=markers, marker_diameter=require_key(doc, "marker_diameter_m"))
+
+    # built once per layout, not fields, so ==, hash and repr read the markers alone
+    @cached_property
+    def ids(self):
+        """Read-only int64 marker ids, in layout order."""
+        return _read_only(np.array([mid for mid, _ in self.markers], dtype=np.int64))
+
+    @cached_property
+    def uv(self):
+        """Read-only (N, 2) normalized positions (u, v), in layout order."""
+        return _read_only(np.array([pos for _, pos in self.markers], dtype=float).reshape(-1, 2))
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -247,18 +266,18 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
         image = np.zeros((camera.height, camera.width), dtype=float)
     except ValueError as exc:  # more pixels than an array can index
         raise MemoryError(f"{camera.width}x{camera.height} frame: {exc}") from None
-    ids = [mid for mid, _ in layout.markers]
+    ids = layout.ids.tolist()
     occluded = np.array([mid in deformation.occluded for mid in ids], dtype=bool)
     shifts = np.array([deformation.displacements.get(mid, (0.0, 0.0)) for mid in ids],
                       dtype=float).reshape(-1, 2)
-    uv = np.array([pos for _, pos in layout.markers], dtype=float).reshape(-1, 2)
-    cx = uv[:, 0] * (camera.width - 1) + shifts[:, 0]
-    cy = uv[:, 1] * (camera.height - 1) + shifts[:, 1]
+    cx = layout.uv[:, 0] * (camera.width - 1) + shifts[:, 0]
+    cy = layout.uv[:, 1] * (camera.height - 1) + shifts[:, 1]
     clipped = ~occluded & ((cx < -radius_px) | (cx > camera.width - 1 + radius_px)
                            | (cy < -radius_px) | (cy > camera.height - 1 + radius_px))
     shown = np.flatnonzero(~(occluded | clipped))
-    visible = [{"id": ids[k], "x": x, "y": y}
-               for k, x, y in zip(shown.tolist(), cx[shown].tolist(), cy[shown].tolist())]
+    visible = [{"id": mid, "x": x, "y": y}
+               for mid, x, y in zip(layout.ids[shown].tolist(), cx[shown].tolist(),
+                                    cy[shown].tolist())]
 
     _stamp_discs(image, np.column_stack((cx[shown], cy[shown])), radius_px)
     if noise_sigma > 0:
@@ -280,8 +299,8 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
         "timestamp": 0,
         "marker_radius_px": float(radius_px),
         "visible": visible,
-        "occluded": sorted(ids[k] for k in np.flatnonzero(occluded).tolist()),
-        "clipped": sorted(ids[k] for k in np.flatnonzero(clipped).tolist()),
+        "occluded": np.sort(layout.ids[occluded]).tolist(),
+        "clipped": np.sort(layout.ids[clipped]).tolist(),
         "noise_sigma": float(noise_sigma),
         "seed": int(seed),
     }
@@ -346,7 +365,8 @@ def _label_runs(mask):
     17(5), 2008; Shiloach and Vishkin, J. Algorithms 3(1), 1982).
     """
     # in each row of the column-padded mask the changes alternate start, end
-    rows, cols = np.nonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
+    changes = np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1)
+    rows, cols = np.divmod(np.flatnonzero(changes), changes.shape[1])  # np.nonzero's indices
     rows, starts, ends = rows[0::2], cols[0::2], cols[1::2]
     # keys order the runs by (row, column); ends <= width < stride keeps rows apart
     stride = mask.shape[1] + 1
@@ -450,39 +470,84 @@ def track(prev, curr, gate):
     leftovers are reported unmatched (marker appearance or disappearance).
     Matches are listed by previous index. Symmetric: swapping the arguments
     pairs the same detections with reversed vectors.
+
+    The walk is computed in rounds of locally dominant pairs (R. Preis, STACS
+    1999): a pair that comes first among the pairs of its previous detection,
+    in the order (d, j), and first among those of its current detection, in
+    the order (d, i), precedes every other pair that touches either end, so
+    the walk keeps it. Each round keeps all such pairs at once and drops the
+    pairs that touch a matched detection. On a chain a round can match one
+    pair only, so once a round leaves more than 3/4 of its pairs, the rest is
+    walked in (d, i, j) order, which keeps the worst case at O(E log E) for E
+    pairs in the gate.
     """
     require_positive(gate=gate)
     prev_pts = prev.centroids()
     curr_pts = curr.centroids()
     i, j = _cell_candidates(prev_pts, curr_pts, np.nextafter(gate, np.inf))
-    # a gap below about 1e-154 squares to a subnormal or 0, one above about
-    # 1e154 to inf; hypot measures both, and a gap past the largest float is inf
-    with np.errstate(over="ignore"):
-        dx, dy = (prev_pts[i] - curr_pts[j]).T
-        dist_sq = dx * dx + dy * dy
-        dist = np.sqrt(dist_sq)
-        exact = (dist_sq < np.finfo(float).tiny) | (dist_sq == np.inf)
-        dist[exact] = np.hypot(dx[exact], dy[exact])
+    with np.errstate(over="ignore"):  # a coordinate gap past the largest float is inf
+        dist = _lengths(prev_pts[:, 0][i] - curr_pts[:, 0][j],
+                        prev_pts[:, 1][i] - curr_pts[:, 1][j])
     in_gate = dist <= gate
     i, j, dist = i[in_gate], j[in_gate], dist[in_gate]
+    partner = np.full(len(prev_pts), -1)  # the current index matched to each previous one
+    free_curr = np.ones(len(curr_pts), dtype=bool)
+    while len(i):
+        first = _first_at(i, j, dist, len(prev_pts)) & _first_at(j, i, dist, len(curr_pts))
+        partner[i[first]] = j[first]
+        free_curr[j[first]] = False
+        left = (partner[i] < 0) & free_curr[j]
+        i, j, dist = i[left], j[left], dist[left]
+        if 4 * len(i) > 3 * len(left):
+            for a, b in _greedy_walk(i, j, dist, len(prev_pts), len(curr_pts)):
+                partner[a] = b
+                free_curr[b] = False
+            break
+    i = np.flatnonzero(partner >= 0)
+    j = partner[i]
+    return DisplacementField(prev_index=i, curr_index=j, shifts=curr_pts[j] - prev_pts[i],
+                             lost=np.flatnonzero(partner < 0), appeared=np.flatnonzero(free_curr))
+
+
+def _lengths(dx, dy):
+    """Euclidean lengths sqrt(dx*dx + dy*dy), the bits np.linalg.norm gives.
+
+    A length below about 1e-154 squares to a subnormal or 0, one above about
+    1e154 to inf, where the norm reads 0 or inf; hypot measures both instead,
+    and only a length past the largest float is inf.
+    """
+    with np.errstate(over="ignore"):
+        squares = dx * dx + dy * dy
+    lengths = np.sqrt(squares)
+    exact = (squares < np.finfo(float).tiny) | (squares == np.inf)
+    lengths[exact] = np.hypot(dx[exact], dy[exact])
+    return lengths
+
+
+def _first_at(end, other, dist, n_ends):
+    """Mask of the pairs that come first among the pairs of their end, in the order (dist, other).
+
+    dist holds no NaN, and each (end, other) pair occurs once.
+    """
+    nearest = np.full(n_ends, np.inf)
+    np.minimum.at(nearest, end, dist)
+    tied = dist == nearest[end]
+    lowest = np.full(n_ends, np.iinfo(np.int64).max)
+    np.minimum.at(lowest, end[tied], other[tied])
+    return tied & (other == lowest[end])
+
+
+def _greedy_walk(i, j, dist, n_prev, n_curr):
+    """Yield the pairs (i, j) the greedy walk keeps, taking the pairs in (dist, i, j) order."""
     # the key i * M + j is exact, unique and ordered as (i, j), and dist holds no
     # NaN, so a stable sort by dist of the pairs in key order is the (d, i, j) order
-    order = np.argsort(i * len(curr_pts) + j)
+    order = np.argsort(i * n_curr + j)
     order = order[np.argsort(dist[order], kind="stable")]
-    i, j = i[order], j[order]
-    used_prev, used_curr = [False] * len(prev_pts), [False] * len(curr_pts)
-    taken = []
-    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        if used_prev[a] or used_curr[b]:
-            continue
-        used_prev[a] = used_curr[b] = True
-        taken.append(k)
-    taken = np.array(taken, dtype=int)
-    taken = taken[np.argsort(i[taken])]  # each previous index is matched at most once
-    i, j = i[taken], j[taken]
-    return DisplacementField(prev_index=i, curr_index=j, shifts=curr_pts[j] - prev_pts[i],
-                             lost=np.flatnonzero(np.logical_not(used_prev)),
-                             appeared=np.flatnonzero(np.logical_not(used_curr)))
+    used_prev, used_curr = [False] * n_prev, [False] * n_curr
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if not (used_prev[a] or used_curr[b]):
+            used_prev[a] = used_curr[b] = True
+            yield a, b
 
 
 def contact_summary(field, air_support_kpa=0.0):
@@ -495,9 +560,10 @@ def contact_summary(field, air_support_kpa=0.0):
     vectors = field.shifts
     visible = len(vectors) + len(field.appeared)
     if len(vectors):
-        magnitudes = np.linalg.norm(vectors, axis=1)
-        mean_mag = float(np.mean(magnitudes))
-        variance = float(np.var(magnitudes))
+        magnitudes = _lengths(vectors[:, 0], vectors[:, 1])
+        with np.errstate(over="ignore"):  # a sum or a square past the largest float is inf
+            mean_mag = float(np.mean(magnitudes))
+            variance = float(np.var(magnitudes))
     else:
         mean_mag = 0.0
         variance = 0.0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from twistgrip import tactile
 from twistgrip.errors import DomainError, ParseError, ValidationError
 from twistgrip.tactile import (
     CHUNK_PIXELS,
@@ -60,6 +61,19 @@ class TestLayoutAndFrame:
         doc = {"marker_diameter_m": LAYOUT.marker_diameter,
                "markers": [{"id": mid, "u": u, "v": v} for mid, (u, v) in LAYOUT.markers]}
         assert MarkerLayout.from_json(doc) == LAYOUT
+
+    def test_layout_arrays_are_read_only_and_not_fields(self):
+        layout = MarkerLayout.grid(5, 5)
+        text = repr(layout)
+        assert layout.ids.tolist() == [mid for mid, _ in layout.markers]
+        assert layout.uv.tolist() == [list(pos) for _, pos in layout.markers]
+        for array in (layout.ids, layout.uv):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert layout == MarkerLayout.grid(5, 5)
+        assert hash(layout) == hash(MarkerLayout.grid(5, 5))
+        assert repr(layout) == text == (f"MarkerLayout(markers={layout.markers!r}, "
+                                        f"marker_diameter={layout.marker_diameter!r})")
 
     def test_empty_pixels_rejected(self):
         with pytest.raises(ValidationError):
@@ -260,6 +274,15 @@ class TestContactSummary:
     def test_air_support_changes_label(self):
         summary = contact_summary(self._field((5.0, 0.0)), air_support_kpa=3.0)
         assert summary.label == "contact-with-air"
+
+    def test_shifts_whose_squares_overflow(self):
+        # a shift of 1e200 squares past the largest float; the suite's filter turns
+        # numpy's overflow warning into an error
+        origin = _marker_set([(0.0, 0.0), (0.0, 1e250)])
+        one = contact_summary(track(origin, _marker_set([(1e200, 0.0)]), 1e300))
+        assert one.mean_displacement == 1e200 and one.displacement_variance == 0.0
+        two = contact_summary(track(origin, _marker_set([(1e200, 0.0), (3e200, 1e250)]), 1e300))
+        assert two.mean_displacement == 2e200
 
 
 class TestPgmRoundTrip:
@@ -625,6 +648,54 @@ def test_track_dense_lattice_with_a_sub_pitch_shift():
     curr = [(x + 3.7, y - 2.9) for x, y in prev]
     assert_track_matches_reference(prev, curr, 19.2)
     assert len(track(_marker_set(prev), _marker_set(curr), 19.2).prev_index) == 1600
+
+
+# Rounds of locally dominant pairs: each round must keep exactly the pairs the
+# (d, i, j) walk keeps, and a round that peels too few pairs hands over to the walk.
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Count the calls of the walk that track falls back on."""
+    calls = []
+    walk = tactile._greedy_walk
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return walk(*args)
+
+    monkeypatch.setattr(tactile, "_greedy_walk", counted)
+    return calls
+
+
+def test_track_walks_a_chain_that_peels_one_pair_per_round(walks):
+    # gaps grow along the line, so the only locally dominant pair is the first
+    x = np.concatenate(([0.0], np.cumsum(1.0 + 1e-4 * np.arange(399))))
+    prev, curr = [(v, 0.0) for v in x[0::2]], [(v, 0.0) for v in x[1::2]]
+    assert_track_matches_reference(prev, curr, 1.5)
+    assert walks == [397, 397]  # both orders: of 399 pairs, round one takes one, drops one
+    assert len(track(_marker_set(prev), _marker_set(curr), 1.5).prev_index) == 200
+
+
+def test_track_peels_a_jittered_dense_grid_with_dropped_markers(walks):
+    coords = np.linspace(0.1, 0.9, 40)
+    grid = np.array([(u * 639, v * 479) for v in coords for u in coords])
+    rng = np.random.default_rng(13)
+    moved = grid + (3.7, -2.9) + rng.normal(0.0, 2.0, grid.shape)
+    prev = grid[rng.permutation(len(grid))[:1440]]
+    curr = moved[rng.permutation(len(grid))[:1440]]
+    assert_track_matches_reference(prev.tolist(), curr.tolist(), 19.2)
+    assert walks == []
+
+
+def test_track_ties_at_one_end_break_by_the_other_index():
+    # every pair lies 1 apart: at P0 the tie goes to C0 (lower current index),
+    # at C0 to P0 (lower previous index), and P1 then takes C2 in a second round
+    prev, curr = [(0.0, 0.0), (2.0, 0.0)], [(1.0, 0.0), (-1.0, 0.0), (3.0, 0.0)]
+    assert_track_matches_reference(prev, curr, 1.0)
+    assert _pairs(track(_marker_set(prev), _marker_set(curr), 1.0)) == {(0, 0): (1.0, 0.0),
+                                                                        (1, 2): (1.0, 0.0)}
+    assert _pairs(track(_marker_set(curr), _marker_set(prev), 1.0)) == {(0, 0): (-1.0, 0.0),
+                                                                        (2, 1): (-1.0, 0.0)}
 
 
 # Run-based labelling: detect_markers against the ndimage oracle, and the
