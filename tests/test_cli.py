@@ -266,9 +266,9 @@ class TestTactileCommands:
         ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": "a", "v": 0.5}]}', "marker 0 u"),
         *((f'{{"marker_diameter_m": 0.002, "markers": [{{"id": 0, "u": 0.2, "v": 0.2}},'
            f' {{"id": {mid}, "u": 0.5, "v": 0.5}}]}}', "marker id must be an integer")
-          for mid in ('"a"', "1.0", "null", "true", str(2**63))),
+          for mid in ('"a"', "1.0", "null", "true")),
     ], ids=["invalid-json", "no-markers", "no-diameter", "no-id", "no-u", "no-v", "nan-diameter",
-            "string-u", "string-id", "float-id", "null-id", "bool-id", "int64-overflow-id"])
+            "string-u", "string-id", "float-id", "null-id", "bool-id"])
     def test_render_malformed_layout_exits_2_naming_file_and_key(self, capsys, tmp_path,
                                                                    text, key):
         layout = tmp_path / "layout.json"
