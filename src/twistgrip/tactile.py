@@ -9,10 +9,12 @@ the renderer's ground truth doubles as a test oracle.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -110,8 +112,19 @@ class Deformation:
     occluded: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        for mid, (dx, dy) in self.displacements.items():
-            if not (np.isfinite(dx) and np.isfinite(dy)):
+        for mid, displacement in self.displacements.items():
+            try:
+                dx, dy = displacement
+            except (TypeError, ValueError):
+                dx = dy = None
+            if not (isinstance(dx, numbers.Real) and isinstance(dy, numbers.Real)):
+                raise ValidationError(f"displacement of marker {mid!r} must be a pair of real "
+                                      f"numbers (dx, dy), got {displacement!r}")
+            try:
+                finite = math.isfinite(dx) and math.isfinite(dy)
+            except OverflowError:  # an int past the largest float
+                finite = False
+            if not finite:
                 raise DomainError(f"displacement of marker {mid!r} must be finite")
         object.__setattr__(self, "occluded", frozenset(self.occluded))
 
@@ -250,9 +263,12 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     Markers are bright anti-aliased discs on a dark background, displaced per
     the deformation and omitted when occluded. A marker pushed fully outside
     the image is silently clipped but recorded in the sidecar. Gaussian pixel
-    noise is seeded, so identical inputs give bit-identical frames. Besides
-    the float64 image and the uint8 frame, every temporary holds at most
-    CHUNK_PIXELS pixels (or one disc window, if that is larger).
+    noise is seeded, so identical inputs give bit-identical frames. The discs
+    are stamped into a float64 image, which is then finished in chunks of
+    CHUNK_PIXELS pixels: noise added, rounded, clipped to [0, 255] and written
+    into the uint8 frame while the chunk is in cache. Besides the image and the
+    frame, every temporary holds at most CHUNK_PIXELS pixels, or one disc
+    footprint or capped window if that is larger (see _stamp_discs).
     """
     require_non_negative(noise_sigma=noise_sigma, seed=seed)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
@@ -263,8 +279,10 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
         raise MemoryError(f"{camera.width}x{camera.height} frame: {exc}") from None
     ids = layout.ids
     occluded = np.array([mid in deformation.occluded for mid in ids], dtype=bool)
-    shifts = np.array([deformation.displacements.get(mid, (0.0, 0.0)) for mid in ids],
-                      dtype=float).reshape(-1, 2)
+    # Deformation holds only pairs, so the flat stream has exactly 2 N values
+    shifts = np.fromiter(chain.from_iterable(map(deformation.displacements.get, ids,
+                                                 repeat((0.0, 0.0)))),
+                         float, 2 * len(ids)).reshape(-1, 2)
     cx = layout.uv[:, 0] * (camera.width - 1) + shifts[:, 0]
     cy = layout.uv[:, 1] * (camera.height - 1) + shifts[:, 1]
     clipped = ~occluded & ((cx < -radius_px) | (cx > camera.width - 1 + radius_px)
@@ -274,21 +292,24 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
                for k, x, y in zip(shown.tolist(), cx[shown].tolist(), cy[shown].tolist())]
 
     _stamp_discs(image, np.column_stack((cx[shown], cy[shown])), radius_px)
+    pixels = np.empty(image.shape, dtype=np.uint8)
+    flat, out = image.reshape(-1), pixels.reshape(-1)
+    # normal(0, s) draws 0.0 + s * z element by element from the same stream as
+    # standard_normal, so chunked draws scaled in place give the same sums
     if noise_sigma > 0:
-        # normal(0, s) draws 0.0 + s * z element by element from the same stream
-        # as standard_normal, so chunked draws scaled in place give the same sums
-        rng = np.random.default_rng(seed)
-        flat = image.reshape(-1)
-        buffer = np.empty(min(CHUNK_PIXELS, flat.size))
-        with np.errstate(over="ignore"):  # a huge sigma saturates, as normal() does
-            for start in range(0, flat.size, CHUNK_PIXELS):
-                chunk = buffer[:flat.size - start]
-                rng.standard_normal(out=chunk)
-                chunk *= noise_sigma
-                flat[start:start + len(chunk)] += chunk
-    np.rint(image, out=image)
-    np.clip(image, 0, 255, out=image)
-    frame = TactileFrame(pixels=image.astype(np.uint8))
+        rng, noise = np.random.default_rng(seed), np.empty(min(CHUNK_PIXELS, flat.size))
+    with np.errstate(over="ignore"):  # a huge sigma saturates, as normal() does
+        for start in range(0, flat.size, CHUNK_PIXELS):
+            chunk = flat[start:start + CHUNK_PIXELS]
+            if noise_sigma > 0:
+                draw = noise[:len(chunk)]
+                rng.standard_normal(out=draw)
+                draw *= noise_sigma
+                chunk += draw
+            np.rint(chunk, out=chunk)
+            np.clip(chunk, 0, 255, out=chunk)
+            out[start:start + len(chunk)] = chunk
+    frame = TactileFrame(pixels=pixels)
     sidecar = {
         "timestamp": 0,
         "marker_radius_px": float(radius_px),
@@ -301,34 +322,84 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     return frame, sidecar
 
 
+def _footprint(edge):
+    """Offsets (ox, oy) from f = floor(c) of every pixel within edge of some c in [f, f + 1)^2.
+
+    Along an axis, the pixel floor(c) + o lies at least m = -o (o <= 0) or
+    m = o - 1 (o >= 1) from c, so each lattice point (mx, my) >= 0 of the
+    quarter disc mx^2 + my^2 < limit gives the four offsets (-mx or mx + 1,
+    -my or my + 1), with limit = (edge * (1 + 1e-9))^2: the relative margin is
+    argued in _stamp_discs.
+    """
+    limit = (edge * (1 + 1e-9)) ** 2
+    m = np.arange(int(np.sqrt(limit)) + 1)
+    squares = m * m
+    # row my holds the mx with mx^2 < limit - my^2: a prefix of the sorted squares
+    my, mx = _expand_ranges(np.zeros_like(m), np.searchsorted(squares, limit - squares))
+    return np.concatenate((-mx, mx + 1, -mx, mx + 1)), np.concatenate((-my, -my, my + 1, my + 1))
+
+
 def _stamp_discs(image, centres, radius_px):
     """Max-composite one anti-aliased disc per (x, y) centre into image, in place.
 
-    Each disc is evaluated on the window floor(c) +/- (ceil(r) + 1) per axis,
-    cut to the image size and moved inside the image where it crosses an edge,
-    so it holds every image pixel of the uncut window. A pixel outside that
-    lies more than ceil(r) + 1 >= r + 1 from c, at least 0.5 px past the r + 0.5
-    end of the edge ramp, so its disc value is 0; inside the window, a value of
-    0 leaves the non-negative image as it is. Discs are stamped in batches whose
-    windows hold at most CHUNK_PIXELS pixels (one window, if that is larger),
-    so the temporaries stay small for any radius and marker count.
+    A pixel p takes 255 * clip(fl(r + 0.5) - hypot(p - c), 0, 1), which is
+    non-zero iff hypot(p - c) < fl(r + 0.5): a 1-px linear edge ramp, whose
+    symmetric coverage keeps the binary centroid unbiased.
+
+    Each disc is evaluated at floor(c) plus the offsets of _footprint. An
+    offset left out lies at least m = (mx, my) from every centre in its cell
+    per axis, with mx^2 + my^2 >= limit. Each m is an integer, so rounding
+    p - c (monotone) keeps each computed gap at least m, and a hypot within an
+    ulp or so of the exact length reads at least about sqrt(limit) >
+    fl(r + 0.5): the relative margin of 1e-9, millions of ulps, covers the
+    rounding of hypot and of limit, so the pixel's value is 0, which leaves
+    the non-negative image as it is. Coordinates are clamped into the frame.
+    A clamped duplicate is a real pixel evaluated at its true distance, and
+    np.maximum.at is idempotent, so clamping changes nothing, and every frame
+    pixel of the footprint keeps its own coordinates.
+
+    A window capped by the frame (2 * reach + 1 > min(width, height), with
+    reach = ceil(r) + 1: huge radii or tiny frames) builds no offsets that
+    grow with r. It keeps the window floor(c) +/- reach per axis, cut to the
+    frame and moved inside it where it crosses an edge, so it holds every frame
+    pixel of the uncut window; a pixel outside lies more than reach >= r + 1
+    from c, at least 0.5 px past the edge of the ramp.
+
+    The coordinates and gaps of a disc are computed once per axis offset and
+    gathered (np.take, which keeps them C-ordered, so the scatter copies
+    nothing) into at most three arrays of one value per disc and offset at a
+    time. Discs are stamped in batches of CHUNK_PIXELS // (footprint or window
+    size) discs (one, if a single one is larger), so the temporaries stay small
+    for any radius and marker count.
     """
     height, width = image.shape
     reach = int(np.ceil(radius_px)) + 1
-    span_x, span_y = min(2 * reach + 1, width), min(2 * reach + 1, height)
-    starts = np.clip(np.floor(centres) - reach, 0, [width - span_x, height - span_y]).astype(int)
-    xs = starts[:, 0, None] + np.arange(span_x)
-    ys = starts[:, 1, None] + np.arange(span_y)
-    batch = max(CHUNK_PIXELS // (span_x * span_y), 1)
+    if 2 * reach + 1 > min(width, height):
+        span_x, span_y = min(2 * reach + 1, width), min(2 * reach + 1, height)
+        base = np.clip(np.floor(centres) - reach, 0, [width - span_x, height - span_y])
+        oy, ox = np.divmod(np.arange(span_x * span_y), span_x)
+    else:
+        base = np.floor(centres)
+        ox, oy = _footprint(radius_px + 0.5)
+    base = base.astype(np.int64)
+    # each axis offset once per disc, then gathered: positions ox - min(ox) of ux
+    ux, uy = np.arange(ox.min(), ox.max() + 1), np.arange(oy.min(), oy.max() + 1)
+    ix, iy = ox - ux[0], oy - uy[0]
+    flat = image.reshape(-1)
+    batch = max(CHUNK_PIXELS // len(ox), 1)
     for b in range(0, len(centres), batch):
-        bx, by = xs[b:b + batch, None, :], ys[b:b + batch, :, None]
-        disc = np.hypot(bx - centres[b:b + batch, 0, None, None],
-                        by - centres[b:b + batch, 1, None, None])
-        # 1-px linear edge ramp: symmetric coverage keeps the binary centroid unbiased
+        c = centres[b:b + batch]
+        x = np.clip(base[b:b + batch, 0, None] + ux, 0, width - 1)
+        y = np.clip(base[b:b + batch, 1, None] + uy, 0, height - 1)
+        disc = np.take(x - c[:, 0, None], ix, axis=1)
+        np.hypot(disc, np.take(y - c[:, 1, None], iy, axis=1), out=disc)
         np.subtract(radius_px + 0.5, disc, out=disc)
         np.clip(disc, 0.0, 1.0, out=disc)
         disc *= 255.0
-        np.maximum.at(image.reshape(-1), (by * width + bx).reshape(-1), disc.reshape(-1))
+        y *= width
+        index = np.take(y, iy, axis=1)
+        index += np.take(x, ix, axis=1)
+        np.maximum.at(flat, index.reshape(-1), disc.reshape(-1))
 
 
 def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):

@@ -301,6 +301,23 @@ class TestTactileCommands:
         assert code == 2
         assert out == "" and err.startswith("error: min_area must be >= 0")
 
+    def test_render_radius_far_beyond_the_frame(self, capsys, tmp_path):
+        # 6.4e7 px discs light every pixel; an offset array that grew with r would not fit
+        frame, sidecar = tmp_path / "f.pgm", tmp_path / "f.json"
+        code, out, _ = run(capsys, ["tactile", "render", "--grid", "2x2", "--width", "64",
+                                    "--height", "48", "--view-width", "1e-9", "--out", str(frame),
+                                    "--sidecar", str(sidecar)])
+        assert code == 0
+        assert out == f"wrote {frame} (64x48, 4 markers visible)\n"
+        assert frame.read_bytes() == b"P5\n64 48\n255\n" + b"\xff" * (64 * 48)
+        assert json.loads(sidecar.read_text()) == {
+            "clipped": [], "marker_radius_px": 63999999.99999999, "noise_sigma": 0.0,
+            "occluded": [], "seed": 0, "timestamp": 0,
+            "visible": [{"id": 0, "x": 6.300000000000001, "y": 4.7},
+                        {"id": 1, "x": 56.7, "y": 4.7},
+                        {"id": 2, "x": 6.300000000000001, "y": 42.300000000000004},
+                        {"id": 3, "x": 56.7, "y": 42.300000000000004}]}
+
     def test_render_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
@@ -581,6 +598,12 @@ FLAG_FUZZ = {
                        {"--width": int, "--height": int, "--view-width": float, "--noise": float,
                         "--seed": int, "--shift": float},
                        [("--seed", -1), ("--height", 2**60), ("--noise", 1e308)]),
+    "tactile detect": (["tactile", "detect", "--json"], {},
+                       {"--threshold": int, "--min-area": int},
+                       [("--min-area", -3), ("--threshold", 256)]),
+    "tactile track": (["tactile", "track", "--json"], {},
+                      {"--threshold": int, "--min-area": int, "--gate": float},
+                      [("--gate", 1e-300), ("--gate", 1e300)]),
     "tactile summarize": (["tactile", "summarize", "--json"], {},
                           {"--threshold": int, "--min-area": int, "--gate": float,
                            "--air-support": float},
@@ -606,10 +629,11 @@ def flag_argv(command, flag, value, workdir):
     else:
         tail = [f"{flag}={value!r}"]
     argv = [*prefix, *(f"{k}={v}" for k, v in defaults.items() if k != flag), *tail]
+    frame_pair = ["--prev", str(workdir / "prev.pgm"), "--curr", str(workdir / "curr.pgm")]
     files = {"tactile render": ["--out", str(workdir / "f.pgm")],
              "spring fit": ["--in", str(workdir / "c.csv")],
-             "tactile summarize": ["--prev", str(workdir / "prev.pgm"),
-                                   "--curr", str(workdir / "curr.pgm")]}
+             "tactile detect": ["--in", str(workdir / "prev.pgm")],
+             "tactile track": frame_pair, "tactile summarize": frame_pair}
     return [*argv, *files.get(command, [])]
 
 

@@ -157,6 +157,19 @@ def test_finite_value_outside_domain_rejected_naming_field(case):
         call()
 
 
+@pytest.mark.parametrize(
+    "displacement", [(1, 2, 3), ("a", 1), 1.0, None, (1.0,), "ab", (1j, 0)],
+    ids=["triple", "string-dx", "scalar", "none", "single", "string", "complex"])
+def test_deformation_displacement_not_a_real_pair_rejected_naming_marker(displacement):
+    with pytest.raises(ValidationError, match="^displacement of marker 7 must be a pair of real"):
+        tactile.Deformation(displacements={0: (0.0, 0.0), 7: displacement})
+
+
+def test_deformation_displacement_past_the_largest_float_rejected_naming_marker():
+    with pytest.raises(DomainError, match="^displacement of marker 7 must be finite"):
+        tactile.Deformation(displacements={7: (0, 10**400)})
+
+
 @pytest.mark.parametrize("value", [300, -1, 1.5, math.nan, math.inf, -math.inf, 1j, "x"])
 def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
     with pytest.raises(ValidationError, match="^pixels must"):

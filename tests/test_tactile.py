@@ -452,6 +452,7 @@ def _layout(positions, diameter=MARKER_DIAMETER_DEFAULT):
 
 
 GRID = MarkerLayout.grid(5, 5)
+RAGGED_GRID = MarkerLayout.grid(20, 5)
 RENDER_CASES = {
     "border-and-partly-clipped": (
         _layout([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.0, 0.5)]),
@@ -473,6 +474,10 @@ RENDER_CASES = {
     "discs-larger-than-frame": (
         MarkerLayout(markers=GRID.markers, marker_diameter=0.3),
         Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
+    # r = 1e9 px: a window or footprint that grew with r would not fit in memory
+    "huge-radius": (
+        MarkerLayout(markers=GRID.markers, marker_diameter=1e7),
+        Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
     # the two below span several disc batches and noise chunks, the last chunk partial
     "dense-benchmark-grid": (
         MarkerLayout(markers=MarkerLayout.grid(40, 40).markers, marker_diameter=0.0005),
@@ -480,7 +485,8 @@ RENDER_CASES = {
                                    for mid in range(1600)}, occluded=set(range(0, 1600, 10))),
         CAMERA),
     "ragged-frame": (
-        GRID, Deformation.uniform_shift(GRID, 0.37, -0.61), CameraModel(width=641, height=37)),
+        RAGGED_GRID, Deformation.uniform_shift(RAGGED_GRID, 0.37, -0.61),
+        CameraModel(width=641, height=37)),
 }
 
 
@@ -489,9 +495,52 @@ def test_render_case_spans_several_batches_and_chunks(case):
     layout, _, camera = RENDER_CASES[case]
     pixels = camera.width * camera.height
     assert pixels > CHUNK_PIXELS and pixels % CHUNK_PIXELS  # the last noise chunk is partial
-    span = min(2 * (math.ceil(layout.marker_diameter / 2 * camera.pixels_per_meter) + 1) + 1,
-               camera.width, camera.height)
-    assert len(layout.markers) > CHUNK_PIXELS // (span * span)
+    radius_px = layout.marker_diameter / 2 * camera.pixels_per_meter
+    assert 2 * (math.ceil(radius_px) + 1) + 1 <= min(camera.width, camera.height)  # not capped
+    footprint = len(tactile._footprint(radius_px + 0.5)[0])
+    assert len(layout.markers) > 2 * (CHUNK_PIXELS // footprint)  # three batches or more
+
+
+@pytest.mark.parametrize("shape", ["footprint-narrowest", "footprint-lowest", "capped-width",
+                                   "capped-height"])
+@pytest.mark.parametrize("radius", [2.5, 3.5, 12.5, math.hypot(3, 1) - 0.5 + 1e-9,
+                                    math.hypot(8, 9) - 0.5 + 1e-9],
+                         ids=["2.5", "3.5", "12.5", "edge-above-sqrt10", "edge-above-sqrt145"])
+def test_render_footprint_boundaries_match_per_marker_loop(radius, shape, monkeypatch):
+    """Single discs where the footprint and the switch to the capped window are tight.
+
+    r + 0.5 is an integer, so lattice pixels fall exactly on the end of the
+    ramp, or just above the length of a lattice vector, so such a pixel gets a
+    value below one rounding step: the frames cannot show it, the float stamp
+    must. Centres sit on integers and one ulp below them, on every edge and
+    corner and in the middle; the frame's smaller side is 2 * reach + 1 (the
+    largest footprint frame) or 2 * reach (the smallest capped one).
+    """
+    side = 2 * (math.ceil(radius) + 1) + 1
+    width, height = {"footprint-narrowest": (side, side + 4),
+                     "footprint-lowest": (side + 4, side),
+                     "capped-width": (side - 1, side + 3),
+                     "capped-height": (side + 3, side - 1)}[shape]
+    calls = []
+    footprint = tactile._footprint
+    monkeypatch.setattr(tactile, "_footprint", lambda edge: calls.append(edge) or footprint(edge))
+    camera = CameraModel(width=width, height=height, view_width=float(width))  # 1 px per m
+    layout = _layout([(0.0, 0.0)], diameter=2 * radius)  # the centre is the displacement
+    ys, xs = np.mgrid[0:height, 0:width]
+    for x0 in (0, width // 2, width - 1):
+        for y0 in (0, height // 2, height - 1):
+            for cx in (float(x0), np.nextafter(x0, -np.inf)):
+                for cy in (float(y0), np.nextafter(y0, -np.inf)):
+                    deformation = Deformation(displacements={0: (cx, cy)})
+                    frame, sidecar = render_frame(layout, deformation, camera)
+                    ref_frame, ref_sidecar = _render_reference(layout, deformation, camera)
+                    assert np.array_equal(frame.pixels, ref_frame.pixels), (cx, cy)
+                    assert sidecar == ref_sidecar
+                    image = np.zeros((height, width))
+                    tactile._stamp_discs(image, np.array([[cx, cy]]), radius)
+                    dense = np.clip(radius + 0.5 - np.hypot(xs - cx, ys - cy), 0.0, 1.0) * 255.0
+                    assert np.array_equal(image, dense), (cx, cy)
+    assert bool(calls) == shape.startswith("footprint")
 
 
 class TestVectorisedMatchesReference:
