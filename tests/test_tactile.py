@@ -509,12 +509,13 @@ def test_render_case_spans_several_batches_and_chunks(case):
 def test_render_footprint_boundaries_match_per_marker_loop(radius, shape, monkeypatch):
     """Single discs where the footprint and the switch to the capped window are tight.
 
-    r + 0.5 is an integer, so lattice pixels fall exactly on the end of the
-    ramp, or just above the length of a lattice vector, so such a pixel gets a
-    value below one rounding step: the frames cannot show it, the float stamp
-    must. Centres sit on integers and one ulp below them, on every edge and
-    corner and in the middle; the frame's smaller side is 2 * reach + 1 (the
-    largest footprint frame) or 2 * reach (the smallest capped one).
+    Either r + 0.5 is an integer, so lattice pixels fall exactly on the end
+    of the ramp, or it lies just above the length of a lattice vector, so that
+    pixel gets a value below one rounding step, which the frames cannot show
+    and the float stamp must. Centres sit on integers and one ulp below them,
+    on every edge and corner and in the middle; the frame's smaller side is
+    2 * reach + 1 (the largest footprint frame) or 2 * reach (the smallest
+    capped one).
     """
     side = 2 * (math.ceil(radius) + 1) + 1
     width, height = {"footprint-narrowest": (side, side + 4),
