@@ -58,7 +58,7 @@ def _scenario_from_json(doc):
     return grasp.GraspScenario(
         gripper=(grasp.GripperGeometry.from_name(gripper) if isinstance(gripper, str)
                  else grasp.GripperGeometry(**gripper)),
-        obj=grasp.ObjectDescriptor(grasp.ShapeClass(shape), height, diameter, mass),
+        obj=grasp.ObjectDescriptor(shape, height, diameter, mass),
         submersion_fraction=doc.get("submersion_fraction", 0.0),
         inside_petal_region=doc.get("inside_petal_region", True),
         agitated_approach=doc.get("agitated_approach", False),
@@ -143,7 +143,7 @@ def cmd_spring_fit(args):
 
 
 def cmd_spring_predict(args):
-    spec = spring.SkinSpec.from_slopes(args.slope1, args.slope2, args.breakpoint)
+    spec = spring.SkinSpec(args.slope1, args.slope2, args.breakpoint)
     if args.strain is not None:
         load = spring.predict_load(args.strain, spec)
         mass = spring.estimate_object_mass(args.strain, spec, g=args.g)
@@ -202,7 +202,7 @@ def cmd_grasp_validate(args):
             f"recorded success {row.success_rate:.0%}"
         )
     _emit(payload, args.json, human)
-    return EXIT_OK if report.all_agree else EXIT_USAGE
+    return EXIT_OK if report.n_agree == report.n_total else EXIT_USAGE
 
 
 def _load_layout(args):
@@ -313,7 +313,7 @@ def cmd_report(args):
     _, metrics, _ = _pressure_result(args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
     sections.append(expio.ReportSection(title="Line pressure cross-check", metrics=metrics))
 
-    payload_ref = expio.load_reference_dataset("table1_payload").rows[0]
+    payload_ref = expio.load_reference_dataset("table1_payload")["rows"][0]
     computed_ratio = expio.payload_to_weight_ratio(
         payload_ref["max_payload_kgf"], payload_ref["weight_kg"]
     )

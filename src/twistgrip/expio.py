@@ -21,13 +21,6 @@ CSV_HEADER = "strain,force_n"
 
 
 @dataclass(frozen=True)
-class ReferenceDataset:
-    id: str
-    rows: tuple
-    meta: dict
-
-
-@dataclass(frozen=True)
 class ReportSection:
     title: str
     metrics: dict  # name -> {"value": ..., "unit": ...}
@@ -48,16 +41,11 @@ class Report:
         }
 
 
-def _dataset_bytes(dataset_id):
+def load_reference_dataset(dataset_id):
+    """A bundled reference table's parsed JSON document: "id", "rows" and, optionally, "meta"."""
     if dataset_id not in DATASET_IDS:
         raise DomainError(f"unknown dataset {dataset_id!r}; choose from {DATASET_IDS}")
-    return resources.files("twistgrip.data").joinpath(f"{dataset_id}.json").read_bytes()
-
-
-def load_reference_dataset(dataset_id):
-    """Load a bundled reference table by id."""
-    doc = json.loads(_dataset_bytes(dataset_id))
-    return ReferenceDataset(id=doc["id"], rows=tuple(doc["rows"]), meta=doc.get("meta", {}))
+    return json.loads(resources.files("twistgrip.data").joinpath(f"{dataset_id}.json").read_bytes())
 
 
 def read_payload_csv(path, skin_height=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import expio
-from .errors import DomainError, require_non_negative, require_positive
+from .errors import DomainError, ValidationError, require_non_negative, require_positive
 from .pressure import SphericalObject, line_pressure_closed_form
 
 INCH = 0.0254
@@ -91,6 +91,11 @@ class ObjectDescriptor:
     mass: float
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "shape_class", ShapeClass(self.shape_class))
+        except ValueError:
+            raise ValidationError(f"shape_class {self.shape_class!r} is not one of "
+                                  f"{[c.value for c in ShapeClass]}") from None
         require_positive(height=self.height, diameter=self.diameter)
         require_non_negative(mass=self.mass)
 
@@ -106,6 +111,9 @@ class GraspScenario:
     def __post_init__(self):
         if not 0.0 <= self.submersion_fraction <= 1.0:
             raise DomainError("submersion_fraction must lie in [0, 1]")
+        for name in ("inside_petal_region", "agitated_approach"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -206,10 +214,6 @@ class ValidationReport:
     def n_total(self):
         return len(self.rows)
 
-    @property
-    def all_agree(self):
-        return self.n_agree == self.n_total
-
 
 def _expected_verdict(success_rate):
     return Verdict.FEASIBLE if success_rate >= 0.5 else Verdict.INFEASIBLE
@@ -218,7 +222,7 @@ def _expected_verdict(success_rate):
 def _reference_object(doc):
     """ObjectDescriptor from a reference-table record in grams and millimetres."""
     return ObjectDescriptor(
-        shape_class=ShapeClass(doc["shape_class"]),
+        shape_class=doc["shape_class"],
         height=doc["height_mm"] / 1000.0,
         diameter=doc["diameter_mm"] / 1000.0,
         mass=doc["mass_g"] / 1000.0,
@@ -234,13 +238,14 @@ def validate_against_reference(dataset_id):
     trials mostly succeeded, so Feasible is expected).
     """
     dataset = expio.load_reference_dataset(dataset_id)
-    if "gripper" not in dataset.meta:
-        raise DomainError(f"dataset {dataset.id!r} has no feasibility interpretation")
-    gripper = GripperGeometry.from_name(dataset.meta["gripper"])
+    meta = dataset.get("meta", {})
+    if "gripper" not in meta:
+        raise DomainError(f"dataset {dataset['id']!r} has no feasibility interpretation")
+    gripper = GripperGeometry.from_name(meta["gripper"])
 
     rows = []
-    for record in dataset.rows:
-        doc = {**dataset.meta.get("object", {}), **record}
+    for record in dataset["rows"]:
+        doc = {**meta.get("object", {}), **record}
         submersion = doc.get("submersion_fraction", 0.0)
         scenario = GraspScenario(gripper=gripper, obj=_reference_object(doc),
                                  submersion_fraction=submersion)
@@ -250,4 +255,4 @@ def validate_against_reference(dataset_id):
             expected=_expected_verdict(doc["success_rate"]),
             success_rate=doc["success_rate"],
         ))
-    return ValidationReport(dataset_id=dataset.id, rows=tuple(rows))
+    return ValidationReport(dataset_id=dataset["id"], rows=tuple(rows))

@@ -79,6 +79,13 @@ def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
                           4.0 * math.pi * (1.0 + fric.k) * obj.radius**2)
 
 
+def _grid_terms(n_intervals):
+    """_unit_trapezoid_terms, for integers n_intervals >= 2 only (the cache keys 2.0 as 2)."""
+    if not (isinstance(n_intervals, (int, np.integer)) and n_intervals >= 2):
+        raise DomainError(f"n_intervals must be an integer >= 2, got {n_intervals!r}")
+    return _unit_trapezoid_terms(int(n_intervals))
+
+
 @functools.cache
 def _unit_trapezoid_terms(n_intervals):
     """Trapezoid sums of u*sqrt(1-u^2) and u^2 on the uniform grid over [0, 1].
@@ -108,9 +115,7 @@ def line_pressure_quadrature(obj, fric, g=G_DEFAULT, n_intervals=N_INTERVALS_DEF
     error around 2e-8.
     """
     require_non_negative(g=g)
-    if n_intervals < 2:
-        raise DomainError(f"n_intervals must be >= 2, got {n_intervals}")
-    a, b = _unit_trapezoid_terms(int(n_intervals))
+    a, b = _grid_terms(n_intervals)
     r = obj.radius
     return _line_pressure(obj, g, obj.mass * g, 4.0 * math.pi * (r * r * (a + fric.k * b)))
 
@@ -125,7 +130,7 @@ def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_D
     """
     require_non_negative(g=g)
     r = obj.radius
-    a, b = _unit_trapezoid_terms(int(n_intervals))
+    a, b = _grid_terms(n_intervals)
     support = 4.0 * math.pi * r * r * (dist.p_bottom * (a + fric.k * b))
     residual = obj.mass * g - support
     if not -math.inf < residual < math.inf:

@@ -39,7 +39,7 @@ class SkinSpec:
 
     @classmethod
     def from_slopes(cls, slope1, slope2, breakpoint):
-        """Build a spec from lumped slopes S1, S2 (N per unit strain) and the breakpoint."""
+        """The constructor under another name; perfbench is its only reader."""
         return cls(slope1, slope2, breakpoint)
 
 

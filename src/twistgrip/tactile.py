@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -106,12 +106,13 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class Deformation:
-    """Per-marker pixel displacements plus the set of occluded marker ids."""
+    """Per-marker pixel displacements plus the occluded marker ids, both frozen at construction."""
 
-    displacements: dict = field(default_factory=dict)  # id -> (dx, dy) px
+    displacements: MappingProxyType = field(default_factory=dict)  # id -> (dx, dy) px
     occluded: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        pairs = {}
         for mid, displacement in self.displacements.items():
             try:
                 dx, dy = displacement
@@ -126,6 +127,8 @@ class Deformation:
                 finite = False
             if not finite:
                 raise DomainError(f"displacement of marker {mid!r} must be finite")
+            pairs[mid] = (float(dx), float(dy))
+        object.__setattr__(self, "displacements", MappingProxyType(pairs))
         object.__setattr__(self, "occluded", frozenset(self.occluded))
 
     @classmethod
@@ -195,11 +198,12 @@ class MarkerSet:
         return len(self.xy)
 
     def centroids(self):
+        """The same array as xy; perfbench is its only reader."""
         return self.xy
 
     @property
     def detections(self):
-        """Read-only (centroid, area, merged) records in Python types, for perfbench's check."""
+        """(centroid, area, merged) records in Python types; perfbench is its only reader."""
         return tuple(SimpleNamespace(centroid=(x, y), area=area, merged=flag)
                      for (x, y), area, flag in zip(self.xy.tolist(), self.areas.tolist(),
                                                    self.merged.tolist()))
@@ -229,22 +233,20 @@ class DisplacementField:
 
     __eq__ = _arrays_equal
 
-    def vectors(self):
-        return self.shifts
-
-    # Read-only tuples in Python types, for perfbench's check.
     @property
     def matches(self):
-        """((prev_idx, curr_idx, (dx, dy)), ...)"""
+        """((prev_idx, curr_idx, (dx, dy)), ...) in Python types; perfbench is its only reader."""
         return tuple(zip(self.prev_index.tolist(), self.curr_index.tolist(),
                          map(tuple, self.shifts.tolist())))
 
     @property
     def unmatched_previous(self):
+        """lost as a tuple; perfbench is its only reader."""
         return tuple(self.lost.tolist())
 
     @property
     def unmatched_current(self):
+        """appeared as a tuple; perfbench is its only reader."""
         return tuple(self.appeared.tolist())
 
 
@@ -547,8 +549,7 @@ def track(prev, curr, gate):
     they are every match, and nothing is left to walk.
     """
     require_positive(gate=gate)
-    prev_pts = prev.centroids()
-    curr_pts = curr.centroids()
+    prev_pts, curr_pts = prev.xy, curr.xy
     i, j = _cell_candidates(prev_pts, curr_pts, np.nextafter(gate, np.inf))
     with np.errstate(over="ignore"):  # a coordinate gap past the largest float is inf
         dist = _lengths(prev_pts[:, 0][i] - curr_pts[:, 0][j],

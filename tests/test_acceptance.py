@@ -82,7 +82,7 @@ def test_criterion_3_unit_cross_check():
     kgf = expio.newtons_to_kgf(328.7)
     assert abs(kgf - 33.51) < 0.01
     computed = expio.payload_to_weight_ratio(33.51, 0.491)
-    recorded = expio.load_reference_dataset("table1_payload").rows[0]["reported_ratio_percent"]
+    recorded = expio.load_reference_dataset("table1_payload")["rows"][0]["reported_ratio_percent"]
     rel = abs(computed - recorded) / recorded
     assert rel < 0.005
     report(3, f"328.7 N = {kgf:.4f} kgf; computed ratio {computed:.1f}% vs recorded "
@@ -93,7 +93,7 @@ def test_criterion_4_spring_fit_round_trip():
     strains = np.linspace(0.0, 1.0, 50)
     slow = 120.0
     for ratio in (1.5, 4.0, 10.0):
-        spec = SkinSpec.from_slopes(slow, slow * ratio, 0.4)
+        spec = SkinSpec(slow, slow * ratio, 0.4)
         loads = np.array([predict_load(s, spec) for s in strains])
 
         start = time.perf_counter()
@@ -147,7 +147,7 @@ def test_criterion_6_tactile_pipeline():
         frame, sidecar = render_frame(layout, deformation, camera,
                                       noise_sigma=noise, seed=seed)
         markers = detect_markers(binarize(frame), min_area=5)
-        detections = markers.centroids()
+        detections = markers.xy
         errors = []
         for truth in sidecar["visible"]:
             dists = np.linalg.norm(detections - [truth["x"], truth["y"]], axis=1)
@@ -183,8 +183,8 @@ def test_criterion_6_tactile_pipeline():
     prev = detect_markers(binarize(frame0), min_area=5)
     curr = detect_markers(binarize(frame1), min_area=5)
     field = track(prev, curr, gate=10.0)
-    assert len(field.matches) == 25
-    assert np.abs(field.vectors() - [3.0, -2.0]).max() <= 0.5
+    assert len(field.prev_index) == 25
+    assert np.abs(field.shifts - [3.0, -2.0]).max() <= 0.5
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -194,7 +194,7 @@ def test_criterion_6_tactile_pipeline():
 
 
 def test_criterion_7_cli_determinism(tmp_path, capsys):
-    spec = SkinSpec.from_slopes(100.0, 400.0, 0.4)
+    spec = SkinSpec(100.0, 400.0, 0.4)
     strains = np.linspace(0.0, 1.0, 50)
     curve = PayloadCurve(
         strains=tuple(strains),

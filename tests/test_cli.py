@@ -20,7 +20,7 @@ from twistgrip.spring import PayloadCurve, SkinSpec, predict_load
 
 @pytest.fixture
 def synthetic_csv(tmp_path):
-    spec = SkinSpec.from_slopes(100.0, 400.0, 0.4)
+    spec = SkinSpec(100.0, 400.0, 0.4)
     strains = np.linspace(0.0, 1.0, 50)
     loads = [predict_load(s, spec) for s in strains]
     curve = PayloadCurve(strains=tuple(strains), loads=tuple(loads))
@@ -113,7 +113,7 @@ class TestSpringCommands:
     def test_fit_skin_height_reads_deflection(self, capsys, tmp_path):
         height = 0.05
         deflections = np.linspace(0.0, 0.04, 30)
-        loads = tuple(predict_load(d / height, SkinSpec.from_slopes(100.0, 400.0, 0.4))
+        loads = tuple(predict_load(d / height, SkinSpec(100.0, 400.0, 0.4))
                       for d in deflections)
         absolute, fraction = tmp_path / "deflection.csv", tmp_path / "strain.csv"
         expio.write_payload_csv(PayloadCurve(strains=tuple(deflections), loads=loads), absolute)
@@ -207,8 +207,15 @@ class TestGraspCommands:
          "full_close_angle"),
         ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": NaN,'
          ' "diameter_m": NaN, "mass_kg": 0.1}}', "height"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
+         ' "diameter_m": 0.04, "mass_kg": 0.1}, "submersion_fraction": 0.7,'
+         ' "agitated_approach": "no"}', "agitated_approach"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
+         ' "diameter_m": 0.04, "mass_kg": 0.1}, "inside_petal_region": 0}',
+         "inside_petal_region"),
     ], ids=["missing-key", "invalid-json", "unknown-shape-class", "wrong-type",
-            "nan-rotation-speed", "infinite-close-angle", "nan-object"])
+            "nan-rotation-speed", "infinite-close-angle", "nan-object", "string-agitated-flag",
+            "number-petal-flag"])
     def test_malformed_scenario_exits_2_naming_file_and_key(self, capsys, tmp_path, text, key):
         path = tmp_path / "scenario.json"
         path.write_text(text)

@@ -28,7 +28,7 @@ class TestReferenceDatasets:
         assert hashlib.sha256(data).hexdigest() == DATASET_CHECKSUMS[dataset_id]
 
     def test_payload_row_values(self):
-        row = expio.load_reference_dataset("table1_payload").rows[0]
+        row = expio.load_reference_dataset("table1_payload")["rows"][0]
         assert row["weight_kg"] == 0.491
         assert row["max_payload_kgf"] == 33.51
         assert row["max_payload_n"] == 328.7
@@ -36,13 +36,13 @@ class TestReferenceDatasets:
 
     def test_object_table_shape(self):
         dataset = expio.load_reference_dataset("table2_objects")
-        assert len(dataset.rows) == 8
-        assert all(row["success_rate"] == 1.0 for row in dataset.rows)
+        assert len(dataset["rows"]) == 8
+        assert all(row["success_rate"] == 1.0 for row in dataset["rows"])
 
     def test_submersion_table_shape(self):
         dataset = expio.load_reference_dataset("table3_submersion")
-        fractions = [row["submersion_fraction"] for row in dataset.rows]
-        rates = [row["success_rate"] for row in dataset.rows]
+        fractions = [row["submersion_fraction"] for row in dataset["rows"]]
+        rates = [row["success_rate"] for row in dataset["rows"]]
         assert fractions == [0.0, 0.3, 0.6, 0.9]
         assert rates == [1.0, 1.0, 0.08, 0.0]
 
@@ -150,7 +150,7 @@ class TestPlots:
         import numpy as np
         from twistgrip.spring import SkinSpec, fit_zones, predict_load
 
-        spec = SkinSpec.from_slopes(100.0, 400.0, 0.4)
+        spec = SkinSpec(100.0, 400.0, 0.4)
         strains = np.linspace(0.0, 1.0, 20)
         loads = [predict_load(s, spec) for s in strains]
         curve = PayloadCurve(strains=tuple(strains), loads=tuple(loads))
@@ -167,6 +167,11 @@ class TestPlots:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             expio.emit_plot([], tmp_path / "x.svg", **LABELS)
+
+    def test_series_without_points_rejected(self, tmp_path):
+        with pytest.raises(DomainError, match="at least one point"):
+            expio.emit_plot([([], [], "a"), ([], [], "b")], tmp_path / "x.svg", **LABELS)
+        assert not (tmp_path / "x.svg").exists()
 
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from twistgrip.errors import DomainError
+from twistgrip.errors import DomainError, ValidationError
 from twistgrip.grasp import (
     GraspOutcome,
     GraspScenario,
@@ -137,6 +137,26 @@ class TestFeasibility:
     def test_infeasible_outcome_requires_reason(self):
         with pytest.raises(DomainError):
             GraspOutcome(verdict=Verdict.INFEASIBLE, reason_code=Reason.OK)
+
+
+class TestInputTypes:
+    def test_shape_class_value_becomes_the_member(self):
+        disc = make_object(shape="flat", height=0.0012, diameter=0.03)
+        assert disc.shape_class is ShapeClass.FLAT
+        scenario = GraspScenario(gripper=FOUR_INCH, obj=disc)
+        assert grasp_feasibility(scenario).reason_code is Reason.FLAT_OBJECT
+
+    @pytest.mark.parametrize("shape", ["blob", "FLAT", "", None, 3, ["flat"]])
+    def test_unknown_shape_class_rejected_naming_field(self, shape):
+        with pytest.raises(ValidationError, match="^shape_class "):
+            make_object(shape=shape)
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, 1.0, None])
+    @pytest.mark.parametrize("name", ["inside_petal_region", "agitated_approach"])
+    def test_flag_that_is_not_a_bool_rejected_naming_field(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be true or false"):
+            GraspScenario(gripper=FOUR_INCH, obj=make_object(), submersion_fraction=0.7,
+                          **{name: value})
 
 
 class TestHoldingPressure:

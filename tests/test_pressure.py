@@ -112,6 +112,27 @@ class TestQuadrature:
             line_pressure_quadrature(DURABILITY_BALL, FRIC_HALF, n_intervals=1)
 
 
+GRID_CALLS = {
+    "line_pressure_quadrature": lambda n: line_pressure_quadrature(
+        DURABILITY_BALL, FRIC_HALF, n_intervals=n),
+    "equilibrium_residual": lambda n: equilibrium_residual(
+        DURABILITY_BALL, FRIC_HALF, PressureDistribution(p_bottom=1.0), n_intervals=n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 0, -5, 2.0, 2.5, True, "10", None])
+@pytest.mark.parametrize("call", sorted(GRID_CALLS))
+def test_grid_must_be_an_integer_of_at_least_two(call, n):
+    GRID_CALLS[call](2)  # with the grid of 2 cached, 2.0 must still be rejected
+    with pytest.raises(DomainError, match="^n_intervals must be an integer >= 2"):
+        GRID_CALLS[call](n)
+
+
+@pytest.mark.parametrize("call", sorted(GRID_CALLS))
+def test_grid_accepts_numpy_integers(call):
+    assert GRID_CALLS[call](np.int64(10)) == GRID_CALLS[call](10)
+
+
 class TestEquilibrium:
     def test_closed_form_balances(self):
         p = line_pressure_closed_form(DURABILITY_BALL, FRIC_HALF)

@@ -18,7 +18,7 @@ from twistgrip.spring import (
 )
 
 # S1 = 100 N/strain, S2 = 400 N/strain, breakpoint at strain 0.4
-SPEC = SkinSpec.from_slopes(100.0, 400.0, 0.4)
+SPEC = SkinSpec(100.0, 400.0, 0.4)
 
 
 def synthetic_curve(spec, n=50, max_strain=1.0):
@@ -30,7 +30,7 @@ def synthetic_curve(spec, n=50, max_strain=1.0):
 class TestSkinSpec:
     def test_stiff_zone_must_be_stiffer(self):
         with pytest.raises(DomainError, match="slope2 must exceed slope1"):
-            SkinSpec.from_slopes(400.0, 100.0, 0.4)
+            SkinSpec(400.0, 100.0, 0.4)
 
     @pytest.mark.parametrize("field,bad", [("slope1", 0.0), ("slope2", float("inf")),
                                            ("breakpoint", float("nan"))])
@@ -52,6 +52,12 @@ class TestPayloadCurve:
     def test_negative_load_rejected(self):
         with pytest.raises(ValidationError):
             PayloadCurve(strains=(0.0, 0.2), loads=(-1.0, 2.0))
+
+    @pytest.mark.parametrize("strains,loads", [
+        ((0.0, 0.2), (0.0,)), (((0.0, 0.2),), ((0.0, 1.0),))], ids=["unequal-length", "2-D"])
+    def test_samples_of_unequal_length_or_not_1d_rejected(self, strains, loads):
+        with pytest.raises(ValidationError, match="1-D and equal length"):
+            PayloadCurve(strains=strains, loads=loads)
 
     def test_from_absolute_normalizes(self):
         curve = PayloadCurve.from_absolute([0.0, 0.025, 0.05], [0.0, 10.0, 20.0], skin_height=0.05)
@@ -139,7 +145,7 @@ class TestFitZones:
 
     @pytest.mark.parametrize("ratio", [1.5, 4.0, 10.0])
     def test_exact_recovery_across_stiffness_ratios(self, ratio):
-        spec = SkinSpec.from_slopes(120.0, 120.0 * ratio, 0.35)
+        spec = SkinSpec(120.0, 120.0 * ratio, 0.35)
         fit = fit_zones(synthetic_curve(spec))
         assert fit.slope1 == pytest.approx(120.0, rel=1e-6)
         assert fit.slope2 == pytest.approx(120.0 * ratio, rel=1e-6)

@@ -40,7 +40,7 @@ def detect_pipeline(frame, min_area=5, **kwargs):
 
 def match_errors(markers, sidecar):
     """Distance from each ground-truth marker to its nearest detection."""
-    detections = markers.centroids()
+    detections = markers.xy
     errors = []
     for truth in sidecar["visible"]:
         dists = np.linalg.norm(detections - [truth["x"], truth["y"]], axis=1)
@@ -85,6 +85,18 @@ class TestLayoutAndFrame:
             converted = TactileFrame(pixels=other).pixels
             assert converted.dtype == np.uint8 and converted.tolist() == [[0, 128, 255]]
         assert TactileFrame(pixels=[[True, False]]).pixels.tolist() == [[1, 0]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarkerSet(xy=[(0.0, 0.0)], areas=[1, 2], merged=[False]),
+    lambda: MarkerSet(xy=[(0.0, 0.0), (1.0, 1.0)], areas=[1, 2], merged=[False]),
+    lambda: DisplacementField(prev_index=[0], curr_index=[0, 1], shifts=[(0.0, 0.0)], lost=[],
+                              appeared=[]),
+    lambda: DisplacementField(prev_index=[0], curr_index=[0], shifts=[], lost=[], appeared=[]),
+], ids=["marker-areas", "marker-merged", "field-curr-index", "field-shifts"])
+def test_arrays_of_unequal_length_rejected(build):
+    with pytest.raises(ValidationError, match="must hold one entry per"):
+        build()
 
 
 def test_record_views_hold_python_values_equal_to_the_arrays():
@@ -143,6 +155,19 @@ class TestRenderer:
         frame, sidecar = render_frame(LAYOUT, deformation, CAMERA)
         assert sidecar["occluded"] == [0, 1]
         assert len(detect_pipeline(frame)) == len(LAYOUT.markers) - 2
+
+    def test_displacements_are_a_frozen_copy_of_float_pairs(self):
+        layout, camera = MarkerLayout.grid(2, 1), CameraModel(width=64, height=48)
+        given = {0: (1, 2)}
+        deformation = Deformation(displacements=given)
+        with pytest.raises(TypeError):
+            deformation.displacements[1] = (1.0, 2.0, 3.0)
+        frame, sidecar = render_frame(layout, deformation, camera)
+        given[0], given[1] = (20.0, 0.0), (1.0, 2.0, 3.0)
+        again, again_sidecar = render_frame(layout, deformation, camera)
+        assert np.array_equal(again.pixels, frame.pixels) and again_sidecar == sidecar
+        assert dict(deformation.displacements) == {0: (1.0, 2.0)}
+        assert {type(v) for v in deformation.displacements[0]} == {float}
 
 
 class TestBinarize:
@@ -216,7 +241,7 @@ class TestTracking:
         field = track(markers, markers, gate=default_gate(LAYOUT, CAMERA))
         assert len(field.prev_index) == 25
         assert len(field.lost) == 0 and len(field.appeared) == 0
-        assert np.abs(field.vectors()).max() == 0.0
+        assert np.abs(field.shifts).max() == 0.0
 
     def test_uniform_shift_recovered(self):
         frame0, _ = render_frame(LAYOUT, Deformation(), CAMERA)
@@ -225,7 +250,7 @@ class TestTracking:
         curr = detect_pipeline(frame1)
         field = track(prev, curr, gate=10.0)
         assert len(field.prev_index) == 25
-        vectors = field.vectors()
+        vectors = field.shifts
         assert np.abs(vectors - [3.0, -2.0]).max() <= 0.5
 
     def test_occlusion_leaves_unmatched_previous(self):
@@ -274,6 +299,13 @@ class TestContactSummary:
         summary = contact_summary(self._field((5.0, 0.0)), air_support_kpa=3.0)
         assert summary.label == "contact-with-air"
 
+    def test_field_without_matches_is_idle(self):
+        field = track(_marker_set([]), _marker_set([(5.0, 5.0), (50.0, 5.0)]), gate=10.0)
+        summary = contact_summary(field, air_support_kpa=3.0)
+        assert (summary.label, summary.mean_displacement, summary.displacement_variance) == (
+            "idle", 0.0, 0.0)
+        assert summary.visible_count == len(field.appeared) == 2
+
     def test_shifts_whose_squares_overflow(self):
         # a shift of 1e200 squares past the largest float; the suite's filter turns
         # numpy's overflow warning into an error
@@ -297,6 +329,15 @@ class TestPgmRoundTrip:
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
         with pytest.raises(ParseError, match="bad.pgm"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("data", [b"P5\n2 1\n65535\n\0\0\0\0", b"P5\n2 1\n15\n\0\0",
+                                      b"P5\n0 3\n255\n", b"P5\n4 0\n255\n"],
+                             ids=["maxval-65535", "maxval-15", "zero-width", "zero-height"])
+    def test_rejects_other_maxval_or_empty_frame(self, tmp_path, data):
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="odd.pgm: expected a non-empty frame with maxval 255"):
             read_pgm(path)
 
 
