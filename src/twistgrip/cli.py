@@ -7,6 +7,11 @@ seed, takes no configuration from the environment, and offers a
 machine-readable JSON mode next to the human-readable default.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.
+
+Each command imports the modules it runs when it runs, so `spring predict`,
+`grasp simulate` and `grasp validate` never load numpy, and only the tactile
+commands load `tactile`. `pressure` is imported here for the parser's
+defaults; it loads numpy on its first quadrature only.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import expio, grasp, pressure, spring, tactile
+from . import pressure
 from .errors import DomainError, ParseError, TwistgripError, ValidationError, require_key
 
 EXIT_OK = 0
@@ -49,6 +54,7 @@ def _from_json_file(path, build):
 
 
 def _scenario_from_json(doc):
+    from . import grasp
     gripper = require_key(doc, "gripper")
     shape, height, diameter, mass = (require_key(doc, "object", key) for key in
                                      ("shape_class", "height_m", "diameter_m", "mass_kg"))
@@ -134,6 +140,7 @@ def cmd_pressure(args):
 
 
 def cmd_spring_fit(args):
+    from . import expio, spring
     curve = expio.read_payload_csv(args.infile, skin_height=args.skin_height)
     payload, _, human = _fit_result(spring.fit_zones(curve))
     _emit(payload, args.json, human)
@@ -143,6 +150,7 @@ def cmd_spring_fit(args):
 
 
 def cmd_spring_predict(args):
+    from . import spring
     spec = spring.SkinSpec(args.slope1, args.slope2, args.breakpoint)
     if args.strain is not None:
         load = spring.predict_load(args.strain, spec)
@@ -159,6 +167,7 @@ def cmd_spring_predict(args):
 
 
 def cmd_grasp_simulate(args):
+    from . import grasp
     scenario = _from_json_file(args.scenario, _scenario_from_json)
     outcome = grasp.grasp_feasibility(scenario)
     payload = {
@@ -179,6 +188,7 @@ def cmd_grasp_simulate(args):
 
 
 def cmd_grasp_validate(args):
+    from . import grasp
     report = grasp.validate_against_reference(_REPLAY_TABLES[args.dataset])
     payload = {
         "dataset": report.dataset_id,
@@ -206,6 +216,7 @@ def cmd_grasp_validate(args):
 
 
 def _load_layout(args):
+    from . import tactile
     if args.layout:
         return _from_json_file(args.layout, tactile.MarkerLayout.from_json)
     cols, _, rows = args.grid.partition("x")
@@ -216,14 +227,16 @@ def _load_layout(args):
 
 
 def cmd_tactile_render(args):
+    from . import expio, tactile
     if args.shift and not all(map(math.isfinite, args.shift)):
         raise DomainError(f"--shift must be finite, got {' '.join(map(repr, args.shift))}")
     layout = _load_layout(args)
-    camera = tactile.CameraModel(width=args.width, height=args.height, view_width=args.view_width)
+    view_width = tactile.VIEW_WIDTH_DEFAULT if args.view_width is None else args.view_width
+    camera = tactile.CameraModel(width=args.width, height=args.height, view_width=view_width)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
     if not 0 < radius_px < math.inf:  # a finite view width can still overflow the pixel scale
         raise DomainError(f"--view-width must leave the marker radius positive and finite in "
-                          f"pixels; {args.view_width!r} m with {layout.marker_diameter!r} m "
+                          f"pixels; {view_width!r} m with {layout.marker_diameter!r} m "
                           f"markers gives {radius_px!r} px")
     deformation = (tactile.Deformation.uniform_shift(layout, *args.shift) if args.shift
                    else tactile.Deformation())
@@ -240,7 +253,9 @@ def cmd_tactile_render(args):
 
 
 def _detect_file(path, args):
-    binary = tactile.binarize(tactile.read_pgm(path), threshold=args.threshold)
+    from . import tactile
+    threshold = tactile.BINARIZE_THRESHOLD_DEFAULT if args.threshold is None else args.threshold
+    binary = tactile.binarize(tactile.read_pgm(path), threshold=threshold)
     return tactile.detect_markers(binary, min_area=args.min_area)
 
 
@@ -261,6 +276,7 @@ def cmd_tactile_detect(args):
 
 
 def _track_from_files(args):
+    from . import tactile
     return tactile.track(_detect_file(args.prev, args), _detect_file(args.curr, args),
                          gate=args.gate)
 
@@ -282,6 +298,7 @@ def cmd_tactile_track(args):
 
 
 def cmd_tactile_summarize(args):
+    from . import tactile
     field = _track_from_files(args)
     summary = tactile.contact_summary(field, air_support_kpa=args.air_support)
     payload = {
@@ -301,6 +318,7 @@ def cmd_tactile_summarize(args):
 
 
 def cmd_report(args):
+    from . import expio, grasp, spring
     # every section is computed before anything is written, so a failing one leaves no file
     curve = expio.read_payload_csv(args.curve)
     fit = spring.fit_zones(curve)
@@ -406,7 +424,8 @@ def build_parser():
     tr.add_argument("--sidecar", default=None, help="ground-truth sidecar JSON path")
     tr.add_argument("--width", type=int, default=640)
     tr.add_argument("--height", type=int, default=480)
-    tr.add_argument("--view-width", type=float, default=tactile.VIEW_WIDTH_DEFAULT,
+    # None stands for the tactile defaults, read when a tactile command runs
+    tr.add_argument("--view-width", type=float, default=None,
                     help="physical width of the imaged wall [m]")
     tr.add_argument("--shift", type=float, nargs=2, default=None, metavar=("DX", "DY"),
                     help="uniform marker displacement [px]")
@@ -415,7 +434,7 @@ def build_parser():
     tr.add_argument("--seed", type=int, default=0)
     tr.set_defaults(func=cmd_tactile_render)
     detection = argparse.ArgumentParser(add_help=False)
-    detection.add_argument("--threshold", type=int, default=tactile.BINARIZE_THRESHOLD_DEFAULT)
+    detection.add_argument("--threshold", type=int, default=None)
     detection.add_argument("--min-area", type=int, default=5)
     detection.add_argument("--json", action="store_true")
     td = tac_sub.add_parser("detect", parents=[detection],

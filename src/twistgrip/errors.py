@@ -1,5 +1,6 @@
 """Exception types and the input checks shared across the package."""
 import math
+import numbers
 
 
 class TwistgripError(Exception):
@@ -42,6 +43,17 @@ def require_non_negative(**values):
         except TypeError:
             pass
         raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
+def require_integer(at_least, /, **values):
+    """Raise DomainError naming the first value that is not an integer >= at_least.
+
+    Any numbers.Integral counts, numpy's included; bool does not, since True is no count or size.
+    """
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= at_least):
+            raise DomainError(f"{name} must be an integer >= {at_least}, got {value!r}")
 
 
 def require_key(doc, *keys):

@@ -10,6 +10,7 @@ code.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -109,7 +110,9 @@ class GraspScenario:
     agitated_approach: bool = False  # approach combined with rotation to squeeze out air
 
     def __post_init__(self):
-        if not 0.0 <= self.submersion_fraction <= 1.0:
+        fraction = self.submersion_fraction
+        if not (isinstance(fraction, numbers.Real) and not isinstance(fraction, bool)
+                and 0.0 <= fraction <= 1.0):
             raise DomainError("submersion_fraction must lie in [0, 1]")
         for name in ("inside_petal_region", "agitated_approach"):
             if not isinstance(getattr(self, name), bool):

@@ -18,9 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, require_non_negative, require_positive
+from .errors import DomainError, require_integer, require_non_negative, require_positive
 
 G_DEFAULT = 9.81  # m/s^2
 N_INTERVALS_DEFAULT = 100_000
@@ -81,8 +79,7 @@ def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
 
 def _grid_terms(n_intervals):
     """_unit_trapezoid_terms, for integers n_intervals >= 2 only (the cache keys 2.0 as 2)."""
-    if not (isinstance(n_intervals, (int, np.integer)) and n_intervals >= 2):
-        raise DomainError(f"n_intervals must be an integer >= 2, got {n_intervals!r}")
+    require_integer(2, n_intervals=n_intervals)
     return _unit_trapezoid_terms(int(n_intervals))
 
 
@@ -92,8 +89,10 @@ def _unit_trapezoid_terms(n_intervals):
 
     The support integrand rescales exactly onto the unit interval
     (substitute x = r*u), so these two sums are the only quadrature work; they
-    are cached per grid resolution.
+    are cached per grid resolution. numpy is imported here, on the first
+    quadrature, so the modules that import this one start without it.
     """
+    import numpy as np
     try:
         u = np.linspace(0.0, 1.0, n_intervals + 1)
     except (ValueError, IndexError) as exc:  # more points than an array can index

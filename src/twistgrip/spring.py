@@ -6,13 +6,14 @@ self-balancing zone below the transition strain and a stiffer stable working
 zone above it. Effective slopes are S_i = k_i * k0 * V_s / h0 (N per unit
 strain); they can be fit as lumped parameters directly from a payload curve,
 so the individual k0, V_s, h0 never need to be known.
+
+numpy is imported only inside the three functions that build arrays, so
+SkinSpec and the predictors run without loading it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import DomainError, FitError, ValidationError, require_non_negative, require_positive
 from .pressure import G_DEFAULT
@@ -51,6 +52,7 @@ class PayloadCurve:
     loads: tuple
 
     def __post_init__(self):
+        import numpy as np
         strains = np.asarray(self.strains, dtype=float)
         loads = np.asarray(self.loads, dtype=float)
         if strains.shape != loads.shape or strains.ndim != 1:
@@ -69,6 +71,7 @@ class PayloadCurve:
     @classmethod
     def from_absolute(cls, deflections, loads, skin_height):
         """Build from absolute deflections (m) by normalizing with skin_height."""
+        import numpy as np
         require_positive(skin_height=skin_height)
         deflections = np.asarray(deflections, dtype=float)
         with np.errstate(over="ignore"):
@@ -159,6 +162,7 @@ def fit_zones(curve):
     inside; otherwise that interval's best join is a sample, fit with the basis
     min(s, bp), max(s - bp, 0). Prefix sums give every candidate in one pass.
     """
+    import numpy as np
     if len(curve) < 4:
         raise FitError(f"need at least 4 samples to fit two zones, got {len(curve)}")
     strains = np.asarray(curve.strains)

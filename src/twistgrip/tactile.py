@@ -19,8 +19,8 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
-from .errors import (DomainError, ParseError, ValidationError, require_key, require_non_negative,
-                     require_positive)
+from .errors import (DomainError, ParseError, ValidationError, require_integer, require_key,
+                     require_non_negative, require_positive)
 
 MARKER_DIAMETER_DEFAULT = 0.002  # m
 GRID_MARGIN = 0.1  # unit-square border left free by MarkerLayout.grid
@@ -98,6 +98,7 @@ class CameraModel:
 
     def __post_init__(self):
         require_positive(width=self.width, height=self.height, view_width=self.view_width)
+        require_integer(1, width=self.width, height=self.height)
 
     @property
     def pixels_per_meter(self):
@@ -273,6 +274,7 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     footprint or capped window if that is larger (see _stamp_discs).
     """
     require_non_negative(noise_sigma=noise_sigma, seed=seed)
+    require_integer(0, seed=seed)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
     require_positive(marker_radius_px=radius_px)  # a finite diameter and scale can overflow
     try:

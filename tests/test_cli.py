@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import twistgrip
 from twistgrip import expio
-from twistgrip.cli import main
+from twistgrip.cli import build_parser, main
 from twistgrip.spring import PayloadCurve, SkinSpec, predict_load
 
 
@@ -213,9 +214,15 @@ class TestGraspCommands:
         ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
          ' "diameter_m": 0.04, "mass_kg": 0.1}, "inside_petal_region": 0}',
          "inside_petal_region"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
+         ' "diameter_m": 0.04, "mass_kg": 0.1}, "submersion_fraction": "0.5"}',
+         "submersion_fraction must lie in [0, 1]"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
+         ' "diameter_m": 0.04, "mass_kg": 0.1}, "submersion_fraction": true}',
+         "submersion_fraction must lie in [0, 1]"),
     ], ids=["missing-key", "invalid-json", "unknown-shape-class", "wrong-type",
             "nan-rotation-speed", "infinite-close-angle", "nan-object", "string-agitated-flag",
-            "number-petal-flag"])
+            "number-petal-flag", "string-submersion-fraction", "bool-submersion-fraction"])
     def test_malformed_scenario_exits_2_naming_file_and_key(self, capsys, tmp_path, text, key):
         path = tmp_path / "scenario.json"
         path.write_text(text)
@@ -324,6 +331,18 @@ class TestTactileCommands:
                         {"id": 1, "x": 56.7, "y": 4.7},
                         {"id": 2, "x": 6.300000000000001, "y": 42.300000000000004},
                         {"id": 3, "x": 56.7, "y": 42.300000000000004}]}
+
+    def test_render_default_view_width_overflow_names_its_value(self, capsys, tmp_path):
+        # --view-width is not given, so the message must show the default it stood for
+        layout = tmp_path / "layout.json"
+        layout.write_text('{"marker_diameter_m": 1e306,'
+                          ' "markers": [{"id": 0, "u": 0.5, "v": 0.5}]}')
+        code, out, err = run(capsys, ["tactile", "render", "--layout", str(layout),
+                                      "--out", str(tmp_path / "f.pgm")])
+        assert code == 2 and out == ""
+        assert err == ("error: --view-width must leave the marker radius positive and finite in "
+                       "pixels; 0.05 m with 1e+306 m markers gives inf px\n")
+        assert not (tmp_path / "f.pgm").exists()
 
     def test_render_deterministic(self, capsys, tmp_path):
         a = tmp_path / "a.pgm"
@@ -562,6 +581,80 @@ def test_cli_import_loads_no_scipy():
                            text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+# Runs main(argv) in a fresh interpreter, then reports which numpy and twistgrip modules
+# were loaded by then on stderr's last line.
+LOADED_AT_EXIT = """import json, sys
+from twistgrip.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "twistgrip"))),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+SCENARIO = {"gripper": "4in", "submersion_fraction": 0.3, "object": {
+    "shape_class": "sphere", "height_m": 0.052, "diameter_m": 0.045, "mass_kg": 0.057}}
+
+
+def _loaded_at_exit(argv):
+    child = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], env=CHILD_ENV,
+                           capture_output=True, text=True, timeout=60)
+    *err, loaded = child.stderr.splitlines()
+    return child.returncode, child.stdout, err, set(json.loads(loaded))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
+     "--strain", "0.5", "--json"],
+    ["grasp", "simulate", "--scenario", "{scenario}", "--k", "0.5", "--json"],
+    ["grasp", "validate", "--dataset", "table2", "--json"],
+    ["grasp", "validate", "--dataset", "table3"],
+], ids=["import-only", "spring-predict", "grasp-simulate", "grasp-validate-table2",
+        "grasp-validate-table3"])
+def test_math_only_command_runs_without_numpy(capsys, tmp_path, argv):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    argv = [arg.format(scenario=scenario) for arg in argv]
+    code, out, err, loaded = _loaded_at_exit(argv)
+    assert code == 0 and err == []
+    assert {m for m in loaded if m.split(".")[0] == "numpy"} == set()
+    assert "twistgrip.tactile" not in loaded
+    if argv:
+        assert (code, out) == run(capsys, argv)[:2]
+
+
+def test_tactile_command_loads_no_grasp(tmp_path):
+    frame = tmp_path / "f.pgm"
+    frame.write_bytes(VALID_FILES["pgm"])
+    code, out, _, loaded = _loaded_at_exit(["tactile", "detect", "--in", str(frame), "--json"])
+    assert code == 0 and json.loads(out)["count"] == 1
+    assert "twistgrip.tactile" in loaded and "twistgrip.grasp" not in loaded
+
+
+def _command_paths(parser, prefix=()):
+    yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _command_paths(sub, (*prefix, name))
+
+
+HELP_FIXTURE = Path(__file__).with_name("fixtures") / "cli_help.json"
+
+
+def test_help_text_unchanged(capsys, monkeypatch):
+    """--help of the program and of every subcommand, against the recorded text (80 columns)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = json.loads(HELP_FIXTURE.read_text(encoding="utf-8"))
+    paths = [" ".join(path) for path in _command_paths(build_parser())]
+    assert sorted(paths) == sorted(expected)
+    for path in paths:
+        with pytest.raises(SystemExit) as exc:
+            main([*path.split(), "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected[path], path
 
 
 @pytest.mark.parametrize("argv, command", [

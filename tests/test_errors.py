@@ -2,12 +2,14 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from twistgrip import expio, grasp, pressure, spring, tactile
 from twistgrip.errors import (
     DomainError,
     ValidationError,
+    require_integer,
     require_key,
     require_non_negative,
     require_positive,
@@ -131,6 +133,22 @@ class TestHelpers:
         with pytest.raises(DomainError, match="^b must be >= 0"):
             require_non_negative(a=1.0, b=-1e-300)
 
+    @pytest.mark.parametrize("value", [0, 7, 10**30, np.int64(7), np.uint8(7)],
+                             ids=["zero", "int", "huge", "int64", "uint8"])
+    def test_integral_numbers_are_integers(self, value):
+        require_integer(0, count=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 0.5, "2", None, math.nan],
+                             ids=["true", "false", "numpy-bool", "float-integral", "float",
+                                  "string", "none", "nan"])
+    def test_bool_and_other_non_integers_name_the_field(self, value):
+        with pytest.raises(DomainError, match=r"^count must be an integer >= 0, got "):
+            require_integer(0, size=1, count=value)
+
+    def test_integer_below_the_least_names_the_bound(self):
+        with pytest.raises(DomainError, match=r"^n_intervals must be an integer >= 2, got 1$"):
+            require_integer(2, n_intervals=1)
+
     def test_key_path(self):
         doc = {"markers": [{"id": 0, "u": 0.5}], "marker_diameter_m": 0.002}
         assert require_key(doc, "markers", 0, "u") == 0.5
@@ -155,6 +173,33 @@ def test_finite_value_outside_domain_rejected_naming_field(case):
     field, call = OUT_OF_DOMAIN[case]
     with pytest.raises(DomainError, match=rf"^{field} must"):
         call()
+
+
+# (field named in the error, call that passes the value x in a count or size field);
+# n_intervals has its own rows in test_pressure.py
+COUNTS = {
+    **{f"CameraModel.{name}": (name, lambda x, name=name: tactile.CameraModel(**{name: x}))
+       for name in ("width", "height")},
+    **{f"render_frame.seed.noise{sigma}": (
+        "seed", lambda x, sigma=sigma: tactile.render_frame(
+            LAYOUT, tactile.Deformation(), CAMERA, noise_sigma=sigma, seed=x))
+       for sigma in (0.0, 1.0)},
+}
+
+
+@pytest.mark.parametrize("value", [0.5, 64.5, True], ids=["half", "64.5", "true"])
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_non_integer_count_rejected_naming_field(case, value):
+    field, call = COUNTS[case]
+    with pytest.raises(DomainError, match=rf"^{field} must be an integer >= \d+, got {value!r}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", ["0.5", None, [0.5], True],
+                         ids=["string", "none", "list", "true"])
+def test_non_number_submersion_fraction_rejected_naming_it(value):
+    with pytest.raises(DomainError, match=re.escape("submersion_fraction must lie in [0, 1]")):
+        grasp.GraspScenario(GRIPPER, OBJECT, submersion_fraction=value)
 
 
 @pytest.mark.parametrize(
