@@ -2,6 +2,8 @@
 import math
 import numbers
 
+_LEAST_POSITIVE, _LARGEST = math.nextafter(0, 1), math.nextafter(math.inf, 0)  # finite floats > 0
+
 
 class TwistgripError(Exception):
     """Base class for all package errors."""
@@ -23,26 +25,36 @@ class FitError(TwistgripError, RuntimeError):
     """A fitting routine cannot produce a result from the given data."""
 
 
+def real(value):
+    """float(value) for a numbers.Real but no bool (+-inf past the float range); else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def within(lo, hi, value):
+    """Whether value is a number (see real) in the closed range [lo, hi]."""
+    try:  # a plain float skips the call
+        return lo <= (value if type(value) is float else real(value)) <= hi
+    except TypeError:
+        return False
+
+
 def require_positive(**values):
     """Raise DomainError naming the first value that is not a finite number > 0."""
     for name, value in values.items():
-        try:
-            if 0 < value < math.inf:
-                continue
-        except TypeError:  # a JSON string or null names the field like NaN does
-            pass
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+        if not within(_LEAST_POSITIVE, _LARGEST, value):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def require_non_negative(**values):
     """Raise DomainError naming the first value that is not a finite number >= 0."""
     for name, value in values.items():
-        try:
-            if 0 <= value < math.inf:
-                continue
-        except TypeError:
-            pass
-        raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
+        if not within(0.0, _LARGEST, value):
+            raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 def require_integer(at_least, /, **values):
@@ -51,8 +63,7 @@ def require_integer(at_least, /, **values):
     Any numbers.Integral counts, numpy's included; bool does not, since True is no count or size.
     """
     for name, value in values.items():
-        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                and value >= at_least):
+        if not (isinstance(value, numbers.Integral) and within(at_least, math.inf, value)):
             raise DomainError(f"{name} must be an integer >= {at_least}, got {value!r}")
 
 

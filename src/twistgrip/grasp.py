@@ -10,12 +10,11 @@ code.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import expio
-from .errors import DomainError, ValidationError, require_non_negative, require_positive
+from .errors import DomainError, ValidationError, require_non_negative, require_positive, within
 from .pressure import SphericalObject, line_pressure_closed_form
 
 INCH = 0.0254
@@ -73,7 +72,7 @@ class GripperGeometry:
         """Build from an inch-version preset: '2in', '4in', or '8in'."""
         try:
             aperture = APERTURE_BY_NAME[name]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name, such as a list, is no preset
             raise DomainError(
                 f"unknown gripper preset {name!r}; choose from {sorted(APERTURE_BY_NAME)}"
             ) from None
@@ -110,9 +109,7 @@ class GraspScenario:
     agitated_approach: bool = False  # approach combined with rotation to squeeze out air
 
     def __post_init__(self):
-        fraction = self.submersion_fraction
-        if not (isinstance(fraction, numbers.Real) and not isinstance(fraction, bool)
-                and 0.0 <= fraction <= 1.0):
+        if not within(0, 1, self.submersion_fraction):
             raise DomainError("submersion_fraction must lie in [0, 1]")
         for name in ("inside_petal_region", "agitated_approach"):
             if not isinstance(getattr(self, name), bool):

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, require_integer, require_non_negative, require_positive
+from .errors import DomainError, require_integer, require_non_negative, require_positive, within
 
 G_DEFAULT = 9.81  # m/s^2
 N_INTERVALS_DEFAULT = 100_000
@@ -45,7 +45,7 @@ class FrictionModel:
     k: float
 
     def __post_init__(self):
-        if not 0.0 <= self.k < 1.0:
+        if not (within(0, 1, self.k) and self.k < 1):
             raise DomainError(f"friction coefficient must satisfy 0 <= k < 1, got {self.k}")
 
 

@@ -7,7 +7,7 @@ zone above it. Effective slopes are S_i = k_i * k0 * V_s / h0 (N per unit
 strain); they can be fit as lumped parameters directly from a payload curve,
 so the individual k0, V_s, h0 never need to be known.
 
-numpy is imported only inside the three functions that build arrays, so
+numpy is imported only inside the functions that build arrays, so
 SkinSpec and the predictors run without loading it.
 """
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, FitError, ValidationError, require_non_negative, require_positive
+from .errors import (DomainError, FitError, ValidationError, real, require_non_negative,
+                     require_positive)
 from .pressure import G_DEFAULT
 
 DEGENERATE_SLOPE_RTOL = 0.02
@@ -44,6 +45,18 @@ class SkinSpec:
         return cls(slope1, slope2, breakpoint)
 
 
+def _sample_array(name, values):
+    """values as a float array; ValidationError naming name unless they are numbers (see real)."""
+    import numpy as np
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in "iuf":
+            return array.astype(float, copy=False)
+        return np.fromiter(map(real, array), float)  # objects such as Fractions, one by one
+    except (TypeError, ValueError):  # ragged, or no number
+        raise ValidationError(f"{name} must be a sequence of numbers") from None
+
+
 @dataclass(frozen=True)
 class PayloadCurve:
     """Ordered (strain, load) samples; strain normalized by skin height."""
@@ -53,8 +66,7 @@ class PayloadCurve:
 
     def __post_init__(self):
         import numpy as np
-        strains = np.asarray(self.strains, dtype=float)
-        loads = np.asarray(self.loads, dtype=float)
+        strains, loads = _sample_array("strains", self.strains), _sample_array("loads", self.loads)
         if strains.shape != loads.shape or strains.ndim != 1:
             raise ValidationError("strains and loads must be 1-D and equal length")
         if not (np.isfinite(strains).all() and np.isfinite(loads).all()):
@@ -73,9 +85,9 @@ class PayloadCurve:
         """Build from absolute deflections (m) by normalizing with skin_height."""
         import numpy as np
         require_positive(skin_height=skin_height)
-        deflections = np.asarray(deflections, dtype=float)
+        deflections = _sample_array("deflections", deflections)
         with np.errstate(over="ignore"):
-            strains = deflections / skin_height
+            strains = deflections / real(skin_height)
         if not np.isfinite(strains[np.isfinite(deflections)]).all():
             raise DomainError(f"skin_height must give finite strains, got {skin_height!r}")
         return cls(strains=tuple(strains), loads=tuple(loads))

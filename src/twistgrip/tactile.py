@@ -19,8 +19,8 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
-from .errors import (DomainError, ParseError, ValidationError, require_integer, require_key,
-                     require_non_negative, require_positive)
+from .errors import (DomainError, ParseError, ValidationError, real, require_integer, require_key,
+                     require_non_negative, require_positive, within)
 
 MARKER_DIAMETER_DEFAULT = 0.002  # m
 GRID_MARGIN = 0.1  # unit-square border left free by MarkerLayout.grid
@@ -40,21 +40,22 @@ class MarkerLayout:
     marker_diameter: float = MARKER_DIAMETER_DEFAULT
 
     def __post_init__(self):
-        ids = [mid for mid, _ in self.markers]
-        for mid in ids:
+        markers = []
+        for mid, position in self.markers:
             if not isinstance(mid, numbers.Integral) or isinstance(mid, bool):
                 raise ValidationError(f"marker id must be an integer, got {mid!r}")
-        if len(ids) != len(set(ids)):
-            raise ValidationError("marker ids must be unique")
-        for mid, position in self.markers:
-            for axis, value in zip("uv", position):
-                if not (isinstance(value, numbers.Real) and 0.0 <= value <= 1.0):
+            try:
+                u, v = position
+            except (TypeError, ValueError):
+                raise ValidationError(f"marker {mid!r} needs a pair (u, v), got {position!r}") from None
+            for axis, value in zip("uv", (u, v)):
+                if not within(0, 1, value):
                     raise ValidationError(f"marker {mid!r} {axis} must lie in [0, 1], got {value!r}")
+            markers.append((int(mid), (real(u), real(v))))
+        if len({mid for mid, _ in markers}) != len(markers):
+            raise ValidationError("marker ids must be unique")
         require_positive(marker_diameter=self.marker_diameter)
-        object.__setattr__(
-            self, "markers",
-            tuple((int(mid), (float(u), float(v))) for mid, (u, v) in self.markers)
-        )
+        object.__setattr__(self, "markers", tuple(markers))
 
     @classmethod
     def grid(cls, n_cols, n_rows):
@@ -97,8 +98,8 @@ class CameraModel:
     view_width: float = VIEW_WIDTH_DEFAULT
 
     def __post_init__(self):
-        require_positive(width=self.width, height=self.height, view_width=self.view_width)
         require_integer(1, width=self.width, height=self.height)
+        require_positive(view_width=self.view_width)
 
     @property
     def pixels_per_meter(self):
@@ -116,19 +117,13 @@ class Deformation:
         pairs = {}
         for mid, displacement in self.displacements.items():
             try:
-                dx, dy = displacement
+                dx, dy = map(real, displacement)
             except (TypeError, ValueError):
-                dx = dy = None
-            if not (isinstance(dx, numbers.Real) and isinstance(dy, numbers.Real)):
                 raise ValidationError(f"displacement of marker {mid!r} must be a pair of real "
-                                      f"numbers (dx, dy), got {displacement!r}")
-            try:
-                finite = math.isfinite(dx) and math.isfinite(dy)
-            except OverflowError:  # an int past the largest float
-                finite = False
-            if not finite:
+                                      f"numbers (dx, dy), got {displacement!r}") from None
+            if not (math.isfinite(dx) and math.isfinite(dy)):
                 raise DomainError(f"displacement of marker {mid!r} must be finite")
-            pairs[mid] = (float(dx), float(dy))
+            pairs[mid] = (dx, dy)
         object.__setattr__(self, "displacements", MappingProxyType(pairs))
         object.__setattr__(self, "occluded", frozenset(self.occluded))
 
@@ -273,7 +268,7 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     frame, every temporary holds at most CHUNK_PIXELS pixels, or one disc
     footprint or capped window if that is larger (see _stamp_discs).
     """
-    require_non_negative(noise_sigma=noise_sigma, seed=seed)
+    require_non_negative(noise_sigma=noise_sigma)
     require_integer(0, seed=seed)
     radius_px = layout.marker_diameter / 2.0 * camera.pixels_per_meter
     require_positive(marker_radius_px=radius_px)  # a finite diameter and scale can overflow
@@ -308,7 +303,7 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
             if noise_sigma > 0:
                 draw = noise[:len(chunk)]
                 rng.standard_normal(out=draw)
-                draw *= noise_sigma
+                draw *= real(noise_sigma)  # a Fraction sigma would make an object array
                 chunk += draw
             np.rint(chunk, out=chunk)
             np.clip(chunk, 0, 255, out=chunk)
@@ -408,7 +403,7 @@ def _stamp_discs(image, centres, radius_px):
 
 def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):
     """Threshold to a binary frame: pixel >= threshold maps to 255, else 0."""
-    if not 0 <= threshold <= 255:
+    if not within(0, 255, threshold):
         raise DomainError(f"threshold must lie in [0, 255], got {threshold}")
     binary = (frame.pixels >= threshold).view(np.uint8)
     binary *= 255
@@ -552,7 +547,7 @@ def track(prev, curr, gate):
     """
     require_positive(gate=gate)
     prev_pts, curr_pts = prev.xy, curr.xy
-    i, j = _cell_candidates(prev_pts, curr_pts, np.nextafter(gate, np.inf))
+    i, j = _cell_candidates(prev_pts, curr_pts, np.nextafter(real(gate), np.inf))
     with np.errstate(over="ignore"):  # a coordinate gap past the largest float is inf
         dist = _lengths(prev_pts[:, 0][i] - curr_pts[:, 0][j],
                         prev_pts[:, 1][i] - curr_pts[:, 1][j])

@@ -220,9 +220,14 @@ class TestGraspCommands:
         ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
          ' "diameter_m": 0.04, "mass_kg": 0.1}, "submersion_fraction": true}',
          "submersion_fraction must lie in [0, 1]"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": 0.05,'
+         f' "diameter_m": 0.04, "mass_kg": {10**400}}}}}', "mass"),
+        ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": true,'
+         ' "diameter_m": 0.04, "mass_kg": 0.1}}', "height"),
     ], ids=["missing-key", "invalid-json", "unknown-shape-class", "wrong-type",
             "nan-rotation-speed", "infinite-close-angle", "nan-object", "string-agitated-flag",
-            "number-petal-flag", "string-submersion-fraction", "bool-submersion-fraction"])
+            "number-petal-flag", "string-submersion-fraction", "bool-submersion-fraction",
+            "mass-past-float-range", "bool-height"])
     def test_malformed_scenario_exits_2_naming_file_and_key(self, capsys, tmp_path, text, key):
         path = tmp_path / "scenario.json"
         path.write_text(text)
@@ -281,8 +286,11 @@ class TestTactileCommands:
         *((f'{{"marker_diameter_m": 0.002, "markers": [{{"id": 0, "u": 0.2, "v": 0.2}},'
            f' {{"id": {mid}, "u": 0.5, "v": 0.5}}]}}', "marker id must be an integer")
           for mid in ('"a"', "1.0", "null", "true")),
+        (f'{{"marker_diameter_m": {10**400}, "markers": []}}', "marker_diameter"),
+        ('{"marker_diameter_m": 0.002, "markers": [{"id": 0, "u": true, "v": 0.5}]}', "marker 0 u"),
     ], ids=["invalid-json", "no-markers", "no-diameter", "no-id", "no-u", "no-v", "nan-diameter",
-            "string-u", "string-id", "float-id", "null-id", "bool-id"])
+            "string-u", "string-id", "float-id", "null-id", "bool-id", "diameter-past-float-range",
+            "bool-u"])
     def test_render_malformed_layout_exits_2_naming_file_and_key(self, capsys, tmp_path,
                                                                    text, key):
         layout = tmp_path / "layout.json"
@@ -482,7 +490,8 @@ VALID_FILES = {
 }
 DELETE = object()
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400]) | st.floats()
+    | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                   max_size=3),
     max_leaves=4)
@@ -687,6 +696,8 @@ FLAG_FUZZ = {
                   ("--radius", 1e154), ("--mass", 1e306)]),
     "spring fit": (["spring", "fit", "--json"], {}, {"--skin-height": float},
                    [("--skin-height", 1e-320)]),
+    "grasp simulate": (["grasp", "simulate", "--json"], {}, {"--k": float}, []),
+    "report": (["report"], {}, {"--mass": float, "--radius": float, "--k": float}, []),
     "spring predict": (["spring", "predict", "--json"],
                        {"--slope1": "100", "--slope2": "400", "--breakpoint": "0.4",
                         "--strain": "0.5"},
@@ -732,6 +743,8 @@ def flag_argv(command, flag, value, workdir):
     frame_pair = ["--prev", str(workdir / "prev.pgm"), "--curr", str(workdir / "curr.pgm")]
     files = {"tactile render": ["--out", str(workdir / "f.pgm")],
              "spring fit": ["--in", str(workdir / "c.csv")],
+             "grasp simulate": ["--scenario", str(workdir / "s.json")],
+             "report": ["--curve", str(workdir / "c.csv"), "--out-dir", str(workdir / "report")],
              "tactile detect": ["--in", str(workdir / "prev.pgm")],
              "tactile track": frame_pair, "tactile summarize": frame_pair}
     return [*argv, *files.get(command, [])]
@@ -741,6 +754,7 @@ def flag_argv(command, flag, value, workdir):
 def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
     _, _, kinds, regressions = FLAG_FUZZ[command]
     (tmp_path / "c.csv").write_bytes(VALID_FILES["csv"])
+    (tmp_path / "s.json").write_bytes(VALID_FILES["scenario"])
     (tmp_path / "prev.pgm").write_bytes(VALID_FILES["pgm"])  # a 2x4 bar, moved one column on
     (tmp_path / "curr.pgm").write_bytes(b"P5\n6 4\n255\n" + bytes([0, 0, 0, 255, 255, 0] * 4))
     flag_values = st.sampled_from(sorted(kinds)).flatmap(

@@ -1,6 +1,7 @@
 """The shared finite-value checks, and every public boundary that uses them."""
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from twistgrip import expio, grasp, pressure, spring, tactile
 from twistgrip.errors import (
     DomainError,
+    TwistgripError,
     ValidationError,
+    real,
     require_integer,
     require_key,
     require_non_negative,
     require_positive,
+    within,
 )
 
 SPHERE = pressure.SphericalObject(mass=0.21, radius=0.025)
@@ -108,22 +112,78 @@ BOUNDARIES = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+# JSON-like junk: no number (a bool is none), or an integer past the float range
+JUNK = {"true": True, "false": False, "string": "0.5", "none": None, "list": [1.0],
+        "huge": 10**400, "-huge": -10**400}
+# (boundary, value) pairs accepted by design: None selects an optional parameter's
+# default, and a count, size or seed may be any large integer
+ACCEPTED = [("detect_markers.expected_area", None), ("read_payload_csv.skin_height", None),
+            ("CameraModel.width", 10**400), ("CameraModel.height", 10**400),
+            ("render_frame.seed", 10**400)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, *JUNK.values()],
+                         ids=["nan", "inf", "-inf", *JUNK])
 @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
 def test_non_finite_value_rejected_naming_field(boundary, value, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     field, call = BOUNDARIES[boundary]
-    with pytest.raises(DomainError) as exc:
+    if (boundary, value) in ACCEPTED:
+        call(value)
+        return
+    # a displacement that is no pair of numbers is malformed data, not a value out of domain
+    malformed = boundary.startswith("Deformation.") and type(value) not in (int, float)
+    expected = ValidationError if malformed else DomainError
+    with pytest.raises(expected) as exc:
         call(value)
     assert re.search(rf"\b{field}\b", str(exc.value)), str(exc.value)
 
 
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.int64(1)],
+                         ids=["fraction", "float32", "int64"])
+@pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+def test_real_number_of_any_type_returns_or_raises_a_named_error(boundary, value, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    field, call = BOUNDARIES[boundary]
+    try:
+        call(value)
+    except TwistgripError as exc:
+        assert re.search(rf"\b{field}\b", str(exc)), str(exc)
+
+
 class TestHelpers:
-    @pytest.mark.parametrize("value", ["tall", None, [1.0], 1j])
+    @pytest.mark.parametrize("value", ["tall", "0.5", None, [1.0], 1j, True, False, np.True_])
     def test_non_numbers_name_the_field(self, value):
         for check in (require_positive, require_non_negative):
             with pytest.raises(DomainError, match="^height must"):
                 check(height=value)
+        with pytest.raises(TypeError):
+            real(value)
+        assert not within(-math.inf, math.inf, value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1), 1,
+                                       Fraction(1, 2), 5e-324],
+                             ids=["float64", "float32", "int64", "int", "fraction", "subnormal"])
+    def test_real_numbers_of_any_type_are_numbers(self, value):
+        require_positive(height=value)
+        require_non_negative(height=value)
+        assert within(0, 1, value)
+        assert real(value) == float(value) and type(real(value)) is float
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, Fraction(-10**400, 3)],
+                             ids=["huge", "-huge", "huge-fraction"])
+    def test_number_past_the_float_range_reads_as_infinite(self, value):
+        assert real(value) == (math.inf if value > 0 else -math.inf)
+        assert within(-math.inf, math.inf, value)
+        for check in (require_positive, require_non_negative):
+            with pytest.raises(DomainError, match="^height must"):
+                check(height=value)
+
+    def test_within_is_closed(self):
+        assert within(0, 1, 0) and within(0, 1, 1.0) and within(0, 1, -0.0)
+        assert not within(0, 1, 1 + 1e-16 * 2) and not within(0, 1, -5e-324)
+        assert not within(0, 1, math.nan)
 
     def test_sign(self):
         require_positive(a=1e-300, b=1)
@@ -133,14 +193,15 @@ class TestHelpers:
         with pytest.raises(DomainError, match="^b must be >= 0"):
             require_non_negative(a=1.0, b=-1e-300)
 
-    @pytest.mark.parametrize("value", [0, 7, 10**30, np.int64(7), np.uint8(7)],
-                             ids=["zero", "int", "huge", "int64", "uint8"])
+    @pytest.mark.parametrize("value", [0, 7, 10**30, np.int64(7), np.uint8(7), 10**400],
+                             ids=["zero", "int", "huge", "int64", "uint8", "past-float-range"])
     def test_integral_numbers_are_integers(self, value):
         require_integer(0, count=value)
 
-    @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 0.5, "2", None, math.nan],
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, 0.5, "2", None, math.nan,
+                                       np.float64(2.0), Fraction(2)],
                              ids=["true", "false", "numpy-bool", "float-integral", "float",
-                                  "string", "none", "nan"])
+                                  "string", "none", "nan", "float64", "fraction"])
     def test_bool_and_other_non_integers_name_the_field(self, value):
         with pytest.raises(DomainError, match=r"^count must be an integer >= 0, got "):
             require_integer(0, size=1, count=value)

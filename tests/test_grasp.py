@@ -31,9 +31,11 @@ class TestGripperGeometry:
     def test_inch_presets(self, name, aperture):
         assert GripperGeometry.from_name(name).aperture_diameter == pytest.approx(aperture)
 
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(DomainError):
-            GripperGeometry.from_name("6in")
+    @pytest.mark.parametrize("name", ["6in", [], None, 4, {"4in": 1}],
+                             ids=["unknown", "list", "none", "int", "dict"])
+    def test_unknown_preset_rejected(self, name):
+        with pytest.raises(DomainError, match=r"choose from \['2in', '4in', '8in'\]"):
+            GripperGeometry.from_name(name)
 
     def test_coverage_saturates(self):
         geom = GripperGeometry(aperture_diameter=0.1, full_close_angle=2.0)

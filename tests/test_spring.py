@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,28 @@ class TestPayloadCurve:
     def test_samples_of_unequal_length_or_not_1d_rejected(self, strains, loads):
         with pytest.raises(ValidationError, match="1-D and equal length"):
             PayloadCurve(strains=strains, loads=loads)
+
+    @pytest.mark.parametrize("samples", [
+        ("a", "b"), ("0.5", "1"), ((0.0,), (0.1, 0.2)), (None, 1.0), (True, False), (1j, 2j),
+        (True, None)], ids=["letters", "numeric-strings", "ragged", "none", "bools", "complex",
+                            "bool-and-none"])
+    @pytest.mark.parametrize("field", ["strains", "loads"])
+    def test_samples_not_numbers_rejected_naming_field(self, field, samples):
+        values = {"strains": (0.0, 0.5), "loads": (0.0, 1.0), field: samples}
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers$"):
+            PayloadCurve(**values)
+        if field == "strains":
+            with pytest.raises(ValidationError, match="^deflections must be a sequence"):
+                PayloadCurve.from_absolute(samples, (0.0, 1.0), skin_height=0.05)
+
+    def test_integer_past_the_float_range_is_no_finite_sample(self):
+        with pytest.raises(ValidationError, match="^payload samples must be finite$"):
+            PayloadCurve(strains=(0.0, 10**400), loads=(0.0, 1.0))
+
+    def test_samples_of_any_real_type_accepted(self):
+        curve = PayloadCurve(strains=(Fraction(0), Fraction(1, 2), 2**70),
+                             loads=(np.int64(0), 1, np.float32(2.5)))
+        assert curve.strains == (0.0, 0.5, float(2**70)) and curve.loads == (0.0, 1.0, 2.5)
 
     def test_from_absolute_normalizes(self):
         curve = PayloadCurve.from_absolute([0.0, 0.025, 0.05], [0.0, 10.0, 20.0], skin_height=0.05)

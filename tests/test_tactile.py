@@ -57,6 +57,18 @@ class TestLayoutAndFrame:
         with pytest.raises(ValidationError):
             MarkerLayout(markers=((0, (1.5, 0.1)),))
 
+    @pytest.mark.parametrize("position", [(0.5,), 0.5, (0.1, 0.2, 0.3), None, ()],
+                             ids=["single", "scalar", "triple", "none", "empty"])
+    def test_position_not_a_pair_rejected_naming_marker(self, position):
+        with pytest.raises(ValidationError, match=r"^marker 3 needs a pair \(u, v\), got "):
+            MarkerLayout(markers=((0, (0.5, 0.5)), (3, position)))
+
+    @pytest.mark.parametrize("u", [True, np.True_, "0.5", None, 10**400, math.nan],
+                             ids=["true", "numpy-bool", "string", "none", "huge", "nan"])
+    def test_coordinate_not_a_number_in_unit_range_rejected_naming_it(self, u):
+        with pytest.raises(ValidationError, match=r"^marker 0 u must lie in \[0, 1\]"):
+            MarkerLayout(markers=((0, (u, 0.5)),))
+
     def test_layout_json_round_trip(self):
         doc = {"marker_diameter_m": LAYOUT.marker_diameter,
                "markers": [{"id": mid, "u": u, "v": v} for mid, (u, v) in LAYOUT.markers]}
