@@ -103,7 +103,7 @@ class CameraModel:
 
     @property
     def pixels_per_meter(self):
-        return self.width / self.view_width
+        return real(self.width) / self.view_width  # a width past the float range gives inf
 
 
 @dataclass(frozen=True)

@@ -708,7 +708,8 @@ FLAG_FUZZ = {
                        {"--width": "64", "--height": "48", "--noise": "1"},
                        {"--width": int, "--height": int, "--view-width": float, "--noise": float,
                         "--seed": int, "--shift": float},
-                       [("--seed", -1), ("--height", 2**60), ("--noise", 1e308)]),
+                       [("--seed", -1), ("--height", 2**60), ("--noise", 1e308),
+                        ("--width", 10**400)]),
     "tactile detect": (["tactile", "detect", "--json"], {},
                        {"--threshold": int, "--min-area": int},
                        [("--min-area", -3), ("--threshold", 256)]),
@@ -723,7 +724,7 @@ FLAG_FUZZ = {
 FUZZ_VALUES = {
     float: st.floats() | st.sampled_from([-1.0, 1e-170, 1e-300, 1e300]),
     # sizes are small or beyond any array, so no child fills memory before it fails
-    int: st.integers(-1000, 1000) | st.sampled_from([10**12, 2**60, 2**63, 10**30]),
+    int: st.integers(-1000, 1000) | st.sampled_from([10**12, 2**60, 2**63, 10**30, 10**400]),
 }
 
 
