@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain, repeat
@@ -40,8 +41,12 @@ class MarkerLayout:
     marker_diameter: float = MARKER_DIAMETER_DEFAULT
 
     def __post_init__(self):
+        try:
+            entries = [(mid, position) for mid, position in self.markers]
+        except (TypeError, ValueError):
+            raise ValidationError("markers must be a sequence of (id, (u, v)) pairs") from None
         markers = []
-        for mid, position in self.markers:
+        for mid, position in entries:
             if not isinstance(mid, numbers.Integral) or isinstance(mid, bool):
                 raise ValidationError(f"marker id must be an integer, got {mid!r}")
             try:
@@ -114,6 +119,12 @@ class Deformation:
     occluded: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if not isinstance(self.displacements, Mapping):
+            raise ValidationError("displacements must map marker ids to (dx, dy) pairs")
+        try:
+            occluded = frozenset(self.occluded)
+        except TypeError:  # not iterable, or an entry that cannot be hashed
+            raise ValidationError("occluded must be a collection of marker ids") from None
         pairs = {}
         for mid, displacement in self.displacements.items():
             try:
@@ -125,7 +136,7 @@ class Deformation:
                 raise DomainError(f"displacement of marker {mid!r} must be finite")
             pairs[mid] = (dx, dy)
         object.__setattr__(self, "displacements", MappingProxyType(pairs))
-        object.__setattr__(self, "occluded", frozenset(self.occluded))
+        object.__setattr__(self, "occluded", occluded)
 
     @classmethod
     def uniform_shift(cls, layout, dx, dy):
@@ -143,7 +154,10 @@ class TactileFrame:
     pixels: np.ndarray
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels)
+        try:
+            pixels = np.asarray(self.pixels)
+        except ValueError:  # rows of unequal length
+            raise ValidationError("pixels must be a non-empty 2-D array") from None
         if pixels.ndim != 2 or pixels.size == 0:
             raise ValidationError("pixels must be a non-empty 2-D array")
         if pixels.dtype != np.uint8:
@@ -265,8 +279,8 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     are stamped into a float64 image, which is then finished in chunks of
     CHUNK_PIXELS pixels: noise added, rounded, clipped to [0, 255] and written
     into the uint8 frame while the chunk is in cache. Besides the image and the
-    frame, every temporary holds at most CHUNK_PIXELS pixels, or one disc
-    footprint or capped window if that is larger (see _stamp_discs).
+    frame, every temporary holds at most CHUNK_PIXELS pixels, or one window if
+    that is larger (see _stamp_discs).
     """
     require_non_negative(noise_sigma=noise_sigma)
     require_integer(0, seed=seed)
@@ -321,23 +335,6 @@ def render_frame(layout, deformation, camera, noise_sigma=0.0, seed=0):
     return frame, sidecar
 
 
-def _footprint(edge):
-    """Offsets (ox, oy) from f = floor(c) of every pixel within edge of some c in [f, f + 1)^2.
-
-    Along an axis, the pixel floor(c) + o lies at least m = -o (o <= 0) or
-    m = o - 1 (o >= 1) from c, so each lattice point (mx, my) >= 0 of the
-    quarter disc mx^2 + my^2 < limit gives the four offsets (-mx or mx + 1,
-    -my or my + 1), with limit = (edge * (1 + 1e-9))^2: the relative margin is
-    argued in _stamp_discs.
-    """
-    limit = (edge * (1 + 1e-9)) ** 2
-    m = np.arange(int(np.sqrt(limit)) + 1)
-    squares = m * m
-    # row my holds the mx with mx^2 < limit - my^2: a prefix of the sorted squares
-    my, mx = _expand_ranges(np.zeros_like(m), np.searchsorted(squares, limit - squares))
-    return np.concatenate((-mx, mx + 1, -mx, mx + 1)), np.concatenate((-my, -my, my + 1, my + 1))
-
-
 def _stamp_discs(image, centres, radius_px):
     """Max-composite one anti-aliased disc per (x, y) centre into image, in place.
 
@@ -345,60 +342,34 @@ def _stamp_discs(image, centres, radius_px):
     non-zero iff hypot(p - c) < fl(r + 0.5): a 1-px linear edge ramp, whose
     symmetric coverage keeps the binary centroid unbiased.
 
-    Each disc is evaluated at floor(c) plus the offsets of _footprint. An
-    offset left out lies at least m = (mx, my) from every centre in its cell
-    per axis, with mx^2 + my^2 >= limit. Each m is an integer, so rounding
-    p - c (monotone) keeps each computed gap at least m, and a hypot within an
-    ulp or so of the exact length reads at least about sqrt(limit) >
-    fl(r + 0.5): the relative margin of 1e-9, millions of ulps, covers the
-    rounding of hypot and of limit, so the pixel's value is 0, which leaves
-    the non-negative image as it is. Coordinates are clamped into the frame.
-    A clamped duplicate is a real pixel evaluated at its true distance, and
-    np.maximum.at is idempotent, so clamping changes nothing, and every frame
-    pixel of the footprint keeps its own coordinates.
+    Each disc is evaluated on one square window: per axis, the offsets -m ...
+    m + 1 from f = floor(c), with m = ceil((r + 0.5)(1 + 1e-9)) - 1. A pixel
+    past them lies at least the integer m + 1 >= fl(r + 0.5) from every centre
+    in [f, f + 1) along one axis, so its rounded gap (monotone) and the hypot,
+    no shorter, reach fl(r + 0.5): its value is 0, leaving the non-negative
+    image as is. Cut to the frame's size and moved inside it at an edge, the
+    window keeps every frame pixel of the uncut window.
 
-    A window capped by the frame (2 * reach + 1 > min(width, height), with
-    reach = ceil(r) + 1: huge radii or tiny frames) builds no offsets that
-    grow with r. It keeps the window floor(c) +/- reach per axis, cut to the
-    frame and moved inside it where it crosses an edge, so it holds every frame
-    pixel of the uncut window; a pixel outside lies more than reach >= r + 1
-    from c, at least 0.5 px past the edge of the ramp.
-
-    The coordinates and gaps of a disc are computed once per axis offset and
-    gathered (np.take, which keeps them C-ordered, so the scatter copies
-    nothing) into at most three arrays of one value per disc and offset at a
-    time. Discs are stamped in batches of CHUNK_PIXELS // (footprint or window
-    size) discs (one, if a single one is larger), so the temporaries stay small
-    for any radius and marker count.
+    Gaps are computed once per window column and row and broadcast, in batches
+    of CHUNK_PIXELS // (window size) discs (one, if a single window is
+    larger), so the temporaries stay small for any radius and marker count.
     """
     height, width = image.shape
-    reach = int(np.ceil(radius_px)) + 1
-    if 2 * reach + 1 > min(width, height):
-        span_x, span_y = min(2 * reach + 1, width), min(2 * reach + 1, height)
-        base = np.clip(np.floor(centres) - reach, 0, [width - span_x, height - span_y])
-        oy, ox = np.divmod(np.arange(span_x * span_y), span_x)
-    else:
-        base = np.floor(centres)
-        ox, oy = _footprint(radius_px + 0.5)
-    base = base.astype(np.int64)
-    # each axis offset once per disc, then gathered: positions ox - min(ox) of ux
-    ux, uy = np.arange(ox.min(), ox.max() + 1), np.arange(oy.min(), oy.max() + 1)
-    ix, iy = ox - ux[0], oy - uy[0]
-    flat = image.reshape(-1)
-    batch = max(CHUNK_PIXELS // len(ox), 1)
+    # in Python floats, m reads inf past the float range instead of overflowing
+    m = float(np.ceil((float(radius_px) + 0.5) * (1 + 1e-9))) - 1
+    span_x, span_y = int(min(2 * m + 2, width)), int(min(2 * m + 2, height))
+    base = np.clip(np.floor(centres) - m, 0, [width - span_x, height - span_y]).astype(np.int64)
+    batch = max(CHUNK_PIXELS // (span_x * span_y), 1)
     for b in range(0, len(centres), batch):
         c = centres[b:b + batch]
-        x = np.clip(base[b:b + batch, 0, None] + ux, 0, width - 1)
-        y = np.clip(base[b:b + batch, 1, None] + uy, 0, height - 1)
-        disc = np.take(x - c[:, 0, None], ix, axis=1)
-        np.hypot(disc, np.take(y - c[:, 1, None], iy, axis=1), out=disc)
+        x = base[b:b + batch, 0, None] + np.arange(span_x)
+        y = base[b:b + batch, 1, None] + np.arange(span_y)
+        disc = np.hypot((x - c[:, 0, None])[:, None, :], (y - c[:, 1, None])[:, :, None])
         np.subtract(radius_px + 0.5, disc, out=disc)
         np.clip(disc, 0.0, 1.0, out=disc)
         disc *= 255.0
-        y *= width
-        index = np.take(y, iy, axis=1)
-        index += np.take(x, ix, axis=1)
-        np.maximum.at(flat, index.reshape(-1), disc.reshape(-1))
+        index = (y * width)[:, :, None] + x[:, None, :]
+        np.maximum.at(image.reshape(-1), index.reshape(-1), disc.reshape(-1))
 
 
 def binarize(frame, threshold=BINARIZE_THRESHOLD_DEFAULT):

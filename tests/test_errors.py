@@ -282,6 +282,18 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
         tactile.TactileFrame(pixels=[[0, value]])
 
 
+@pytest.mark.parametrize("field, call", [
+    ("pixels", lambda: tactile.TactileFrame(pixels=[[0], [0, 1]])),
+    ("markers", lambda: tactile.MarkerLayout(markers=(5,))),
+    ("markers", lambda: tactile.MarkerLayout(markers=5)),
+    ("displacements", lambda: tactile.Deformation(displacements=[(1, (0, 0))])),
+    ("occluded", lambda: tactile.Deformation(occluded=5)),
+], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int"])
+def test_malformed_container_rejected_naming_it(field, call):
+    with pytest.raises(ValidationError, match=rf"^{field} must"):
+        call()
+
+
 def test_overflowing_marker_scale_rejected():
     huge = tactile.MarkerLayout(markers=((0, (0.5, 0.5)),), marker_diameter=1e308)
     with pytest.raises(DomainError, match="marker_radius_px"):

@@ -527,9 +527,13 @@ RENDER_CASES = {
     "discs-larger-than-frame": (
         MarkerLayout(markers=GRID.markers, marker_diameter=0.3),
         Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
-    # r = 1e9 px: a window or footprint that grew with r would not fit in memory
+    # r = 1e9 px: a window that grew with r would not fit in memory
     "huge-radius": (
         MarkerLayout(markers=GRID.markers, marker_diameter=1e7),
+        Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
+    # a numpy r within 1e-9 of the largest float: (r + 0.5)(1 + 1e-9) overflows
+    "largest-radius": (
+        MarkerLayout(markers=GRID.markers, marker_diameter=np.float64(1.797693134e306)),
         Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
     # the two below span several disc batches and noise chunks, the last chunk partial
     "dense-benchmark-grid": (
@@ -549,35 +553,48 @@ def test_render_case_spans_several_batches_and_chunks(case):
     pixels = camera.width * camera.height
     assert pixels > CHUNK_PIXELS and pixels % CHUNK_PIXELS  # the last noise chunk is partial
     radius_px = layout.marker_diameter / 2 * camera.pixels_per_meter
-    assert 2 * (math.ceil(radius_px) + 1) + 1 <= min(camera.width, camera.height)  # not capped
-    footprint = len(tactile._footprint(radius_px + 0.5)[0])
-    assert len(layout.markers) > 2 * (CHUNK_PIXELS // footprint)  # three batches or more
+    side = 2 * math.ceil((radius_px + 0.5) * (1 + 1e-9))  # the window's, as _stamp_discs sets it
+    assert side <= min(camera.width, camera.height)  # not cut to the frame
+    assert len(layout.markers) > 2 * (CHUNK_PIXELS // side**2)  # three batches or more
+
+
+def _window_edge_radius(n, above):
+    """A radius r with (r + 0.5)(1 + 1e-9) a few ulps above or below the integer n, as computed."""
+    r = n / (1 + 1e-9) - 0.5
+    while ((r + 0.5) * (1 + 1e-9) > n) != above or abs((r + 0.5) * (1 + 1e-9) - n) < 1e-14:
+        r = np.nextafter(r, np.inf if above else -np.inf)
+    return float(r)
 
 
 @pytest.mark.parametrize("shape", ["footprint-narrowest", "footprint-lowest", "capped-width",
-                                   "capped-height"])
+                                   "capped-height", "window-cut-width", "window-cut-height"])
 @pytest.mark.parametrize("radius", [2.5, 3.5, 12.5, math.hypot(3, 1) - 0.5 + 1e-9,
-                                    math.hypot(8, 9) - 0.5 + 1e-9],
-                         ids=["2.5", "3.5", "12.5", "edge-above-sqrt10", "edge-above-sqrt145"])
-def test_render_footprint_boundaries_match_per_marker_loop(radius, shape, monkeypatch):
-    """Single discs where the footprint and the switch to the capped window are tight.
+                                    math.hypot(8, 9) - 0.5 + 1e-9, _window_edge_radius(4, False),
+                                    _window_edge_radius(4, True), _window_edge_radius(13, False),
+                                    _window_edge_radius(13, True)],
+                         ids=["2.5", "3.5", "12.5", "edge-above-sqrt10", "edge-above-sqrt145",
+                              "window-edge-below-4", "window-edge-above-4",
+                              "window-edge-below-13", "window-edge-above-13"])
+def test_render_footprint_boundaries_match_per_marker_loop(radius, shape):
+    """Single discs where the stamping window is tight, whole or cut to the frame.
 
     Either r + 0.5 is an integer, so lattice pixels fall exactly on the end
     of the ramp, or it lies just above the length of a lattice vector, so that
     pixel gets a value below one rounding step, which the frames cannot show
-    and the float stamp must. Centres sit on integers and one ulp below them,
-    on every edge and corner and in the middle; the frame's smaller side is
-    2 * reach + 1 (the largest footprint frame) or 2 * reach (the smallest
-    capped one).
+    and the float stamp must, or (r + 0.5)(1 + 1e-9) lies just below or above
+    an integer, where the window's half-width m changes. Centres sit on
+    integers and one ulp below them, on every edge and corner and in the
+    middle. The frame's smaller side is 2 * ceil(r) + 3 or 2 * ceil(r) + 2,
+    which holds the window of 2 * m + 2 pixels, or 2 * m + 1, which cuts it.
     """
     side = 2 * (math.ceil(radius) + 1) + 1
+    window = 2 * math.ceil((radius + 0.5) * (1 + 1e-9))
     width, height = {"footprint-narrowest": (side, side + 4),
                      "footprint-lowest": (side + 4, side),
                      "capped-width": (side - 1, side + 3),
-                     "capped-height": (side + 3, side - 1)}[shape]
-    calls = []
-    footprint = tactile._footprint
-    monkeypatch.setattr(tactile, "_footprint", lambda edge: calls.append(edge) or footprint(edge))
+                     "capped-height": (side + 3, side - 1),
+                     "window-cut-width": (window - 1, window + 3),
+                     "window-cut-height": (window + 3, window - 1)}[shape]
     camera = CameraModel(width=width, height=height, view_width=float(width))  # 1 px per m
     layout = _layout([(0.0, 0.0)], diameter=2 * radius)  # the centre is the displacement
     ys, xs = np.mgrid[0:height, 0:width]
@@ -594,7 +611,6 @@ def test_render_footprint_boundaries_match_per_marker_loop(radius, shape, monkey
                     tactile._stamp_discs(image, np.array([[cx, cy]]), radius)
                     dense = np.clip(radius + 0.5 - np.hypot(xs - cx, ys - cy), 0.0, 1.0) * 255.0
                     assert np.array_equal(image, dense), (cx, cy)
-    assert bool(calls) == shape.startswith("footprint")
 
 
 class TestVectorisedMatchesReference:
