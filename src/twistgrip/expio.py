@@ -7,6 +7,7 @@ byte-level determinism stays testable.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -45,7 +46,13 @@ def load_reference_dataset(dataset_id):
     """A bundled reference table's parsed JSON document: "id", "rows" and, optionally, "meta"."""
     if dataset_id not in DATASET_IDS:
         raise DomainError(f"unknown dataset {dataset_id!r}; choose from {DATASET_IDS}")
-    return json.loads(resources.files("twistgrip.data").joinpath(f"{dataset_id}.json").read_bytes())
+    return json.loads(_dataset_bytes(dataset_id))
+
+
+@functools.cache
+def _dataset_bytes(dataset_id):
+    """The packaged table's bytes, read once per process; callers parse their own copy."""
+    return resources.files("twistgrip.data").joinpath(f"{dataset_id}.json").read_bytes()
 
 
 def read_payload_csv(path, skin_height=None):
@@ -54,31 +61,27 @@ def read_payload_csv(path, skin_height=None):
     The first column is strain as a 0-1 fraction, or, when skin_height (m) is
     given, deflection in meters that is normalized by it.
     """
-    strains, loads = [], []
-    header_seen = False
-    # undecodable bytes survive as escapes, so they fail the header or number parse below
+    # undecodable bytes survive as escapes, so they fail the header or number parse below;
+    # text mode has already turned \r\n and \r into \n
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise ParseError(f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                strain = float(parts[0])
-                load = float(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-            strains.append(strain)
-            loads.append(load)
-    if not header_seen:
+        lines = fh.read().split("\n")
+    rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+            if line and not line.startswith("#")]
+    if not rows:
         raise ParseError(f"{path}: missing header {CSV_HEADER!r}")
+    lineno, line = rows[0]
+    if line != CSV_HEADER:
+        raise ParseError(f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
+    strains, loads = [], []
+    for lineno, line in rows[1:]:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            strains.append(float(parts[0]))
+            loads.append(float(parts[1]))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
 
     try:
         if skin_height is not None:
@@ -90,10 +93,9 @@ def read_payload_csv(path, skin_height=None):
 
 def write_payload_csv(curve, path):
     """Write a payload curve in the canonical CSV format (round-trip exact)."""
+    rows = "".join([f"{strain!r},{load!r}\n" for strain, load in zip(curve.strains, curve.loads)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for strain, load in zip(curve.strains, curve.loads):
-            fh.write(f"{strain!r},{load!r}\n")
+        fh.write(CSV_HEADER + "\n" + rows)
 
 
 def payload_to_weight_ratio(max_payload_kgf, gripper_weight_kg):
@@ -111,10 +113,6 @@ _SVG_WIDTH = 640
 _SVG_HEIGHT = 480
 _SVG_MARGIN = 60
 _SERIES_COLORS = ("#1f6fb4", "#d1495b", "#3a7d44", "#8d6a9f", "#c98a1b", "#4a4a4a")
-
-
-def _fmt(x):
-    return f"{x:.3f}"
 
 
 def emit_plot(series, path, *, title, x_label, y_label):
@@ -137,11 +135,6 @@ def emit_plot(series, path, *, title, x_label, y_label):
     inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
     inner_h = _SVG_HEIGHT - 2 * _SVG_MARGIN
 
-    def to_px(x, y):
-        px = _SVG_MARGIN + (x - x_min) / x_span * inner_w
-        py = _SVG_HEIGHT - _SVG_MARGIN - (y - y_min) / y_span * inner_h
-        return px, py
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
@@ -159,9 +152,11 @@ def emit_plot(series, path, *, title, x_label, y_label):
     ]
     for i, (xs, ys, label) in enumerate(series):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        points = " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in zip(xs, ys))
-        )
+        # pixel x, y of each zipped pair, flat; one % formats them all, as f"{v:.3f}" does floats
+        coords = [v for x, y in zip(xs, ys)
+                  for v in (_SVG_MARGIN + (x - x_min) / x_span * inner_w,
+                            _SVG_HEIGHT - _SVG_MARGIN - (y - y_min) / y_span * inner_h)]
+        points = " ".join(["%.3f,%.3f"] * (len(coords) // 2)) % tuple(coords)
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = _SVG_MARGIN + 16 * (i + 1)
         lines.append(

@@ -13,10 +13,11 @@ SkinSpec and the predictors run without loading it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (DomainError, FitError, ValidationError, real, require_non_negative,
-                     require_positive)
+                     require_positive, within)
 from .pressure import G_DEFAULT
 
 DEGENERATE_SLOPE_RTOL = 0.02
@@ -51,6 +52,9 @@ def _sample_array(name, values):
     try:
         array = np.asarray(values)
         if array.dtype.kind in "iuf":
+            # numpy reads a bool among numbers as 0.0 or 1.0; an array of numbers holds none
+            if array is not values and not {bool, np.bool_}.isdisjoint(map(type, values)):
+                raise TypeError("a bool is no sample")
             return array.astype(float, copy=False)
         return np.fromiter(map(real, array), float)  # objects such as Fractions, one by one
     except (TypeError, ValueError):  # ragged, or no number
@@ -77,8 +81,8 @@ class PayloadCurve:
             raise ValidationError("loads must be non-negative")
         if len(loads) >= 2 and (np.diff(loads) < 0).any():
             raise ValidationError("loads must be non-decreasing")
-        object.__setattr__(self, "strains", tuple(float(s) for s in strains))
-        object.__setattr__(self, "loads", tuple(float(p) for p in loads))
+        object.__setattr__(self, "strains", tuple(strains.tolist()))
+        object.__setattr__(self, "loads", tuple(loads.tolist()))
 
     @classmethod
     def from_absolute(cls, deflections, loads, skin_height):
@@ -127,7 +131,8 @@ def predict_load(strain, spec):
     Continuous piecewise-linear: S1*strain in the soft zone, then
     S1*t + S2*(strain - t) above the breakpoint t of spec (a SkinSpec or ZoneFit).
     """
-    require_non_negative(strain=strain)
+    if not within(0.0, sys.float_info.max, strain):  # per-sample callers skip the keyword call
+        require_non_negative(strain=strain)
     t = spec.breakpoint
     load = spec.slope1 * strain if strain <= t else spec.slope1 * t + spec.slope2 * (strain - t)
     if load == math.inf:

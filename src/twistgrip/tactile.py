@@ -343,11 +343,11 @@ def _stamp_discs(image, centres, radius_px):
     symmetric coverage keeps the binary centroid unbiased.
 
     Each disc is evaluated on one square window: per axis, the offsets -m ...
-    m + 1 from f = floor(c), with m = ceil((r + 0.5)(1 + 1e-9)) - 1. A pixel
-    past them lies at least the integer m + 1 >= fl(r + 0.5) from every centre
-    in [f, f + 1) along one axis, so its rounded gap (monotone) and the hypot,
-    no shorter, reach fl(r + 0.5): its value is 0, leaving the non-negative
-    image as is. Cut to the frame's size and moved inside it at an edge, the
+    m + 1 from f = floor(c), with m = ceil(fl(r + 0.5)) - 1. A pixel past them
+    lies at least the integer m + 1 >= fl(r + 0.5) from every centre in
+    [f, f + 1) along one axis, so its rounded gap (monotone) and the hypot, no
+    shorter, reach fl(r + 0.5): its value is 0, leaving the non-negative image
+    as is. Cut to the frame's size and moved inside it at an edge, the
     window keeps every frame pixel of the uncut window.
 
     Gaps are computed once per window column and row and broadcast, in batches
@@ -355,8 +355,8 @@ def _stamp_discs(image, centres, radius_px):
     larger), so the temporaries stay small for any radius and marker count.
     """
     height, width = image.shape
-    # in Python floats, m reads inf past the float range instead of overflowing
-    m = float(np.ceil((float(radius_px) + 0.5) * (1 + 1e-9))) - 1
+    # in Python floats, 2m + 2 reads inf near the largest float instead of overflowing
+    m = float(np.ceil(float(radius_px) + 0.5)) - 1
     span_x, span_y = int(min(2 * m + 2, width)), int(min(2 * m + 2, height))
     base = np.clip(np.floor(centres) - m, 0, [width - span_x, height - span_y]).astype(np.int64)
     batch = max(CHUNK_PIXELS // (span_x * span_y), 1)

@@ -288,7 +288,11 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
     ("markers", lambda: tactile.MarkerLayout(markers=5)),
     ("displacements", lambda: tactile.Deformation(displacements=[(1, (0, 0))])),
     ("occluded", lambda: tactile.Deformation(occluded=5)),
-], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int"])
+    ("strains", lambda: spring.PayloadCurve(strains=(0.5, True, 3.0), loads=(0.0, 1.0, 2.0))),
+    ("loads", lambda: spring.PayloadCurve(strains=(0.1, 0.2, 0.3), loads=(0.0, np.True_, 2.0))),
+    ("deflections", lambda: spring.PayloadCurve.from_absolute((0.0, np.True_), (0.0, 1.0), 0.05)),
+], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
+        "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
         call()

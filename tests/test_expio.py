@@ -1,7 +1,13 @@
 import hashlib
+import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistgrip import expio
 from twistgrip.errors import DomainError, ParseError, ValidationError
@@ -49,6 +55,14 @@ class TestReferenceDatasets:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(DomainError):
             expio.load_reference_dataset("table9")
+
+    @pytest.mark.parametrize("dataset_id", expio.DATASET_IDS)
+    def test_mutating_a_returned_document_leaves_the_next_one_as_shipped(self, dataset_id):
+        first = expio.load_reference_dataset(dataset_id)
+        first["rows"].clear()
+        first["id"] = "changed"
+        shipped = json.loads(PACKAGED.joinpath(f"{dataset_id}.json").read_bytes())
+        assert expio.load_reference_dataset(dataset_id) == shipped
 
 
 class TestPayloadCsv:
@@ -198,3 +212,182 @@ class TestReport:
     def test_non_finite_value_is_not_written(self, tmp_path, value):
         with pytest.raises(ValueError, match="JSON compliant"):
             expio.write_json({"value": value}, tmp_path / "doc.json")
+
+
+# The parent's payload CSV and plot writers and reader, kept verbatim (names qualified) as the
+# oracle for the one-format-call versions: files must be byte-identical, results equal.
+
+def _read_payload_csv_reference(path, skin_height=None):
+    strains, loads = [], []
+    header_seen = False
+    # undecodable bytes survive as escapes, so they fail the header or number parse below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not header_seen:
+                if line != expio.CSV_HEADER:
+                    raise ParseError(f"{path}:{lineno}: expected header {expio.CSV_HEADER!r}, got {line!r}")
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+            try:
+                strain = float(parts[0])
+                load = float(parts[1])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+            strains.append(strain)
+            loads.append(load)
+    if not header_seen:
+        raise ParseError(f"{path}: missing header {expio.CSV_HEADER!r}")
+
+    try:
+        if skin_height is not None:
+            return PayloadCurve.from_absolute(strains, loads, skin_height)
+        return PayloadCurve(strains=tuple(strains), loads=tuple(loads))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _write_payload_csv_reference(curve, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(expio.CSV_HEADER + "\n")
+        for strain, load in zip(curve.strains, curve.loads):
+            fh.write(f"{strain!r},{load!r}\n")
+
+
+def _fmt(x):
+    return f"{x:.3f}"
+
+
+def _emit_plot_reference(series, path, *, title, x_label, y_label):
+    _SVG_WIDTH, _SVG_HEIGHT, _SVG_MARGIN = expio._SVG_WIDTH, expio._SVG_HEIGHT, expio._SVG_MARGIN
+    _SERIES_COLORS = expio._SERIES_COLORS
+    if not series:
+        raise DomainError("emit_plot requires at least one series")
+    all_x = [x for xs, _, _ in series for x in xs]
+    all_y = [y for _, ys, _ in series for y in ys]
+    if not all_x:
+        raise DomainError("series must contain at least one point")
+    x_min, x_max = min(all_x), max(all_x)
+    y_min, y_max = min(all_y), max(all_y)
+    x_span = (x_max - x_min) or 1.0
+    y_span = (y_max - y_min) or 1.0
+    inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
+    inner_h = _SVG_HEIGHT - 2 * _SVG_MARGIN
+
+    def to_px(x, y):
+        px = _SVG_MARGIN + (x - x_min) / x_span * inner_w
+        py = _SVG_HEIGHT - _SVG_MARGIN - (y - y_min) / y_span * inner_h
+        return px, py
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<line x1="{_SVG_MARGIN}" y1="{_SVG_HEIGHT - _SVG_MARGIN}" '
+        f'x2="{_SVG_WIDTH - _SVG_MARGIN}" y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black"/>',
+        f'<line x1="{_SVG_MARGIN}" y1="{_SVG_MARGIN}" '
+        f'x2="{_SVG_MARGIN}" y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black"/>',
+        f'<text x="{_SVG_WIDTH // 2}" y="30" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'<text x="{_SVG_WIDTH // 2}" y="{_SVG_HEIGHT - 15}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{x_label}</text>',
+        f'<text x="18" y="{_SVG_HEIGHT // 2}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {_SVG_HEIGHT // 2})">{y_label}</text>',
+    ]
+    for i, (xs, ys, label) in enumerate(series):
+        color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
+        points = " ".join(
+            f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(x, y) for x, y in zip(xs, ys))
+        )
+        lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
+        ly = _SVG_MARGIN + 16 * (i + 1)
+        lines.append(
+            f'<line x1="{_SVG_WIDTH - _SVG_MARGIN - 120}" y1="{ly - 4}" '
+            f'x2="{_SVG_WIDTH - _SVG_MARGIN - 100}" y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
+        )
+        lines.append(
+            f'<text x="{_SVG_WIDTH - _SVG_MARGIN - 94}" y="{ly}" '
+            f'font-family="sans-serif" font-size="12">{label}</text>'
+        )
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _outcome(call, *args, **kwargs):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# sign, subnormal and huge edge values, ints, numpy scalars and any float, nan and inf included
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 0.0005,
+               2.0005, 1e-3]
+SAMPLES = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats().map(np.float64),
+                    st.integers(-10**6, 10**6), st.integers(-2**70, 2**70))
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(series=st.lists(st.tuples(st.lists(SAMPLES, max_size=12),
+                                     st.lists(SAMPLES, max_size=12)), min_size=1, max_size=7))
+    def test_plot_is_byte_identical(self, series):
+        series = [(xs, ys, f"s{i}") for i, (xs, ys) in enumerate(series)]
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref = Path(tmp, "new.svg"), Path(tmp, "ref.svg")
+            with np.errstate(all="ignore"):  # numpy scalars meet inf - inf as the floats do
+                outcome = _outcome(expio.emit_plot, series, new, **LABELS)
+                assert outcome == _outcome(_emit_plot_reference, series, ref, **LABELS)
+            assert outcome is not None or new.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(strains=st.lists(SAMPLES, max_size=30), loads=st.lists(SAMPLES, max_size=30))
+    def test_csv_written_and_read_back_identically(self, strains, loads):
+        def ordered(values):
+            finite = {float(v): v for v in values if abs(float(v)) < float("inf")}
+            return [finite[k] for k in sorted(finite)]  # float keys: -0.0 and 0.0 collide
+
+        strains = ordered(strains)
+        loads = [abs(v) for v in ordered(loads)][:len(strains)]
+        loads = sorted(loads, key=float)
+        strains = strains[:len(loads)]
+        curve = PayloadCurve(strains=tuple(strains), loads=tuple(loads))
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref = Path(tmp, "new.csv"), Path(tmp, "ref.csv")
+            expio.write_payload_csv(curve, new)
+            _write_payload_csv_reference(curve, ref)
+            assert new.read_bytes() == ref.read_bytes()
+            back, ref_back = expio.read_payload_csv(new), _read_payload_csv_reference(new)
+        assert (back.strains, back.loads) == (ref_back.strains, ref_back.loads)
+        assert (back.strains, back.loads) == (curve.strains, curve.loads)
+        assert {type(v) for v in back.strains + back.loads} <= {float}
+
+    @pytest.mark.parametrize("content", [
+        b"strain,force_n\r\n0,0\r\n0.5,40\r\n",
+        b"strain,force_n\r0,0\r0.5,40\r",
+        b"strain,force_n\n0,0\n0.5,40",
+        b"\n# export\n  \nstrain,force_n\n\n# mid\n0,0\n \t\n0.5,40\n\n",
+        b"strain,force_n\n0,0\n0.5,40,1\n",
+        b"strain;force_n\n0,0\n",
+        b"# only a comment\n\n",
+        b"strain,force_n\n0,0\n0.5,4\xff0\n",
+        b"strain,force_n\n\x0c0,0\n0.5,\x0c40\x0c\n",
+        b"strain,force_n\n0,0\xc2\x850.5,40\n",
+    ], ids=["crlf", "bare-cr", "no-final-newline", "blank-and-comment-lines", "ragged-row",
+            "bad-header", "no-header", "undecodable-byte", "form-feed", "next-line-char"])
+    def test_csv_edge_file_read_as_before(self, tmp_path, content):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(content)
+        outcome = _outcome(expio.read_payload_csv, path)
+        ref = _outcome(_read_payload_csv_reference, path)
+        if isinstance(ref, PayloadCurve):
+            assert (outcome.strains, outcome.loads) == (ref.strains, ref.loads)
+        else:
+            assert outcome == ref

@@ -81,6 +81,7 @@ class TestPayloadCurve:
         curve = PayloadCurve(strains=(Fraction(0), Fraction(1, 2), 2**70),
                              loads=(np.int64(0), 1, np.float32(2.5)))
         assert curve.strains == (0.0, 0.5, float(2**70)) and curve.loads == (0.0, 1.0, 2.5)
+        assert {type(v) for v in curve.strains + curve.loads} == {float}
 
     def test_from_absolute_normalizes(self):
         curve = PayloadCurve.from_absolute([0.0, 0.025, 0.05], [0.0, 10.0, 20.0], skin_height=0.05)

@@ -531,7 +531,7 @@ RENDER_CASES = {
     "huge-radius": (
         MarkerLayout(markers=GRID.markers, marker_diameter=1e7),
         Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
-    # a numpy r within 1e-9 of the largest float: (r + 0.5)(1 + 1e-9) overflows
+    # a numpy r near the largest float: the window side 2m + 2 overflows if computed in numpy
     "largest-radius": (
         MarkerLayout(markers=GRID.markers, marker_diameter=np.float64(1.797693134e306)),
         Deformation.uniform_shift(GRID, 2.5, 1.25), CameraModel(width=20, height=9, view_width=0.1)),
@@ -553,17 +553,18 @@ def test_render_case_spans_several_batches_and_chunks(case):
     pixels = camera.width * camera.height
     assert pixels > CHUNK_PIXELS and pixels % CHUNK_PIXELS  # the last noise chunk is partial
     radius_px = layout.marker_diameter / 2 * camera.pixels_per_meter
-    side = 2 * math.ceil((radius_px + 0.5) * (1 + 1e-9))  # the window's, as _stamp_discs sets it
+    side = 2 * math.ceil(radius_px + 0.5)  # the window's, as _stamp_discs sets it
     assert side <= min(camera.width, camera.height)  # not cut to the frame
     assert len(layout.markers) > 2 * (CHUNK_PIXELS // side**2)  # three batches or more
 
 
 def _window_edge_radius(n, above):
-    """A radius r with (r + 0.5)(1 + 1e-9) a few ulps above or below the integer n, as computed."""
-    r = n / (1 + 1e-9) - 0.5
-    while ((r + 0.5) * (1 + 1e-9) > n) != above or abs((r + 0.5) * (1 + 1e-9) - n) < 1e-14:
-        r = np.nextafter(r, np.inf if above else -np.inf)
-    return float(r)
+    """A radius r with r + 0.5, as computed, one ulp above or below the integer n."""
+    toward = math.inf if above else -math.inf
+    r = n - 0.5
+    while r + 0.5 != math.nextafter(n, toward):
+        r = math.nextafter(r, toward)
+    return r
 
 
 @pytest.mark.parametrize("shape", ["footprint-narrowest", "footprint-lowest", "capped-width",
@@ -581,14 +582,14 @@ def test_render_footprint_boundaries_match_per_marker_loop(radius, shape):
     Either r + 0.5 is an integer, so lattice pixels fall exactly on the end
     of the ramp, or it lies just above the length of a lattice vector, so that
     pixel gets a value below one rounding step, which the frames cannot show
-    and the float stamp must, or (r + 0.5)(1 + 1e-9) lies just below or above
-    an integer, where the window's half-width m changes. Centres sit on
+    and the float stamp must, or r + 0.5 lies one ulp below or above an
+    integer, where the window's half-width m changes. Centres sit on
     integers and one ulp below them, on every edge and corner and in the
     middle. The frame's smaller side is 2 * ceil(r) + 3 or 2 * ceil(r) + 2,
     which holds the window of 2 * m + 2 pixels, or 2 * m + 1, which cuts it.
     """
     side = 2 * (math.ceil(radius) + 1) + 1
-    window = 2 * math.ceil((radius + 0.5) * (1 + 1e-9))
+    window = 2 * math.ceil(radius + 0.5)
     width, height = {"footprint-narrowest": (side, side + 4),
                      "footprint-lowest": (side + 4, side),
                      "capped-width": (side - 1, side + 3),
@@ -611,6 +612,25 @@ def test_render_footprint_boundaries_match_per_marker_loop(radius, shape):
                     tactile._stamp_discs(image, np.array([[cx, cy]]), radius)
                     dense = np.clip(radius + 0.5 - np.hypot(xs - cx, ys - cy), 0.0, 1.0) * 255.0
                     assert np.array_equal(image, dense), (cx, cy)
+
+
+@pytest.mark.parametrize("radius, side", [(2.5, 6), (3.5, 8), (12.5, 26), (3.2, 8),
+                                          (_window_edge_radius(4, False), 8),
+                                          (_window_edge_radius(4, True), 10)],
+                         ids=["2.5", "3.5", "12.5", "benchmark-3.2", "window-edge-below-4",
+                              "window-edge-above-4"])
+def test_stamping_window_is_the_least_that_holds_the_disc(radius, side, monkeypatch):
+    """Where r + 0.5 is an integer n, or just below it, a disc is evaluated on (2n)^2 pixels."""
+    shapes, hypot = [], np.hypot
+
+    def recording_hypot(*args, **kwargs):
+        disc = hypot(*args, **kwargs)
+        shapes.append(disc.shape)
+        return disc
+
+    monkeypatch.setattr(np, "hypot", recording_hypot)
+    tactile._stamp_discs(np.zeros((64, 64)), np.array([[31.5, 30.25]]), radius)
+    assert shapes == [(1, side, side)]
 
 
 class TestVectorisedMatchesReference:
