@@ -27,7 +27,9 @@ class FitError(TwistgripError, RuntimeError):
 
 def real(value):
     """float(value) for a numbers.Real but no bool (+-inf past the float range); else TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, float):  # np.float64 too; a float or an int skips the slower ABC test
+        return float(value)
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError(f"not a number: {value!r}")
     try:
         return float(value)
@@ -57,13 +59,15 @@ def require_non_negative(**values):
             raise DomainError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
-def require_integer(at_least, /, **values):
-    """Raise DomainError naming the first value that is not an integer >= at_least.
+def is_integer(value):
+    """Whether value is a numbers.Integral, numpy's too, but no bool: True is no count or id."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-    Any numbers.Integral counts, numpy's included; bool does not, since True is no count or size.
-    """
+
+def require_integer(at_least, /, **values):
+    """Raise DomainError naming the first value that is no integer (see is_integer) >= at_least."""
     for name, value in values.items():
-        if not (isinstance(value, numbers.Integral) and within(at_least, math.inf, value)):
+        if not (is_integer(value) and within(at_least, math.inf, value)):
             raise DomainError(f"{name} must be an integer >= {at_least}, got {value!r}")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -102,10 +103,14 @@ def payload_to_weight_ratio(max_payload_kgf, gripper_weight_kg):
     """Payload-to-weight ratio in percent: 100 * payload / weight."""
     require_positive(gripper_weight_kg=gripper_weight_kg)
     require_non_negative(max_payload_kgf=max_payload_kgf)
-    return 100.0 * max_payload_kgf / gripper_weight_kg
+    ratio = 100.0 * float(max_payload_kgf) / float(gripper_weight_kg)  # np.float64 would warn
+    if ratio > sys.float_info.max:
+        raise DomainError(f"gripper_weight_kg must give a finite ratio, got {gripper_weight_kg!r}")
+    return ratio
 
 
 def newtons_to_kgf(value):
+    require_non_negative(value=value)  # a payload or a load: finite and >= 0
     return value / G_DEFAULT
 
 

@@ -10,7 +10,6 @@ the renderer's ground truth doubles as a test oracle.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -20,8 +19,8 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
-from .errors import (DomainError, ParseError, ValidationError, real, require_integer, require_key,
-                     require_non_negative, require_positive, within)
+from .errors import (DomainError, ParseError, ValidationError, is_integer, real, require_integer,
+                     require_key, require_non_negative, require_positive, within)
 
 MARKER_DIAMETER_DEFAULT = 0.002  # m
 GRID_MARGIN = 0.1  # unit-square border left free by MarkerLayout.grid
@@ -47,7 +46,7 @@ class MarkerLayout:
             raise ValidationError("markers must be a sequence of (id, (u, v)) pairs") from None
         markers = []
         for mid, position in entries:
-            if not isinstance(mid, numbers.Integral) or isinstance(mid, bool):
+            if not is_integer(mid):
                 raise ValidationError(f"marker id must be an integer, got {mid!r}")
             try:
                 u, v = position
@@ -180,6 +179,16 @@ class TactileFrame:
         return self.pixels.shape[0]
 
 
+def _set_arrays(record, **dtypes):
+    """Fields as np.asarray(field, dtype), floats in (N, 2) rows; junk raises ValidationError."""
+    for name, dtype in dtypes.items():
+        try:
+            array = np.asarray(getattr(record, name), dtype=dtype)
+            object.__setattr__(record, name, array.reshape(-1, 2) if dtype is float else array)
+        except (TypeError, ValueError, OverflowError):  # no number, ragged, NaN, past int64
+            raise ValidationError(f"{name} must be an array of {np.dtype(dtype).name}") from None
+
+
 def _arrays_equal(a, b):
     """Same type, and every field array_equal: the == of the array-backed results."""
     if type(a) is not type(b):
@@ -196,9 +205,7 @@ class MarkerSet:
     merged: np.ndarray  # (N,) bool, area above MERGED_AREA_FACTOR * expected area
 
     def __post_init__(self):
-        object.__setattr__(self, "xy", np.asarray(self.xy, dtype=float).reshape(-1, 2))
-        object.__setattr__(self, "areas", np.asarray(self.areas, dtype=np.int64))
-        object.__setattr__(self, "merged", np.asarray(self.merged, dtype=bool))
+        _set_arrays(self, xy=float, areas=np.int64, merged=bool)
         if not len(self.xy) == len(self.areas) == len(self.merged):
             raise ValidationError("xy, areas and merged must hold one entry per marker")
 
@@ -235,9 +242,8 @@ class DisplacementField:
     appeared: np.ndarray  # int64
 
     def __post_init__(self):
-        for name in ("prev_index", "curr_index", "lost", "appeared"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float).reshape(-1, 2))
+        _set_arrays(self, prev_index=np.int64, curr_index=np.int64, lost=np.int64,
+                    appeared=np.int64, shifts=float)
         if not len(self.prev_index) == len(self.curr_index) == len(self.shifts):
             raise ValidationError("prev_index, curr_index and shifts must hold one entry per match")
 

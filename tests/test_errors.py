@@ -1,16 +1,23 @@
 """The shared finite-value checks, and every public boundary that uses them."""
+import enum
 import math
+import numbers
 import re
+import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistgrip import expio, grasp, pressure, spring, tactile
 from twistgrip.errors import (
     DomainError,
     TwistgripError,
     ValidationError,
+    is_integer,
     real,
     require_integer,
     require_key,
@@ -109,6 +116,7 @@ BOUNDARIES = {
         "gripper_weight_kg", lambda x: expio.payload_to_weight_ratio(30.0, x)),
     "read_payload_csv.skin_height": (
         "skin_height", lambda x: expio.read_payload_csv(_write_csv(), skin_height=x)),
+    "newtons_to_kgf.value": ("value", lambda x: expio.newtons_to_kgf(x)),
 }
 
 
@@ -219,6 +227,86 @@ class TestHelpers:
                 require_key(doc, *keys)
 
 
+# The number and integer rules as they stood before their exact-type fast paths, verbatim but
+# for the names: the oracle the fast paths must match on every input.
+def _abc_real(value):
+    """float(value) for a numbers.Real but no bool (+-inf past the float range); else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _abc_within(lo, hi, value):
+    try:  # a plain float skips the call
+        return lo <= (value if type(value) is float else _abc_real(value)) <= hi
+    except TypeError:
+        return False
+
+
+def _abc_require_integer(at_least, /, **values):
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Integral) and _abc_within(at_least, math.inf, value)):
+            raise DomainError(f"{name} must be an integer >= {at_least}, got {value!r}")
+
+
+def _abc_id_rejected(mid):
+    """MarkerLayout's marker id check."""
+    return not isinstance(mid, numbers.Integral) or isinstance(mid, bool)
+
+
+class _Float(float):
+    """A float subclass that is not numpy's."""
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+    HUGE = 10**400
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308]
+EDGE_INTS = [10**400, -10**400, 2**1024, 2**1024 - 1, -2**1024, 2**63, -2**63 - 1]
+ANYTHING = st.one_of(
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.integers(-10**400, 10**400),
+    st.sampled_from(EDGE_INTS), st.booleans(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.floats().map(_Float), st.sampled_from(list(_Count)),
+    st.fractions(), st.sampled_from([Fraction(10**400, 3), Fraction(-10**400, 7)]),
+    st.decimals(), st.sampled_from([Decimal("NaN"), Decimal(10**400)]), st.text(max_size=4),
+    st.none())
+
+
+def _outcome(call, *args, **kwargs):
+    """(type, float bits or value) of what call returns, or (type, text) of what it raises."""
+    try:
+        result = call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), struct.pack("<d", result) if isinstance(result, float) else result
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(value=ANYTHING, at_least=st.sampled_from([0, 1, 2]))
+def test_fast_paths_match_the_abc_rules(value, at_least):
+    """Same value bits and type, or the same exception, as the rules without fast paths."""
+    assert _outcome(real, value) == _outcome(_abc_real, value)
+    assert within(-1.0, 1.0, value) == _abc_within(-1.0, 1.0, value)
+    assert (_outcome(require_integer, at_least, count=value)
+            == _outcome(_abc_require_integer, at_least, count=value))
+    assert is_integer(value) is not _abc_id_rejected(value)
+    try:
+        layout = tactile.MarkerLayout(markers=((value, (0.5, 0.5)),))
+    except ValidationError as exc:
+        assert _abc_id_rejected(value) and str(exc).startswith("marker id must be an integer")
+    else:
+        assert not _abc_id_rejected(value)
+        assert layout.ids == (int(value),) and type(layout.ids[0]) is int
+
+
 # (field named in the error, call with a finite value outside the field's domain)
 OUT_OF_DOMAIN = {
     "detect_markers.min_area.negative": (
@@ -226,6 +314,7 @@ OUT_OF_DOMAIN = {
     **{f"detect_markers.expected_area.{value}": (
         "expected_area", lambda value=value: tactile.detect_markers(FRAME, expected_area=value))
        for value in (-1.0, 0.0)},
+    "newtons_to_kgf.negative": ("value", lambda: expio.newtons_to_kgf(-1.0)),
 }
 
 
@@ -291,8 +380,23 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
     ("strains", lambda: spring.PayloadCurve(strains=(0.5, True, 3.0), loads=(0.0, 1.0, 2.0))),
     ("loads", lambda: spring.PayloadCurve(strains=(0.1, 0.2, 0.3), loads=(0.0, np.True_, 2.0))),
     ("deflections", lambda: spring.PayloadCurve.from_absolute((0.0, np.True_), (0.0, 1.0), 0.05)),
+    ("xy", lambda: tactile.MarkerSet(xy=None, areas=[], merged=[])),
+    ("xy", lambda: tactile.MarkerSet(xy=[1.0, 2.0, 3.0], areas=[1], merged=[False])),
+    ("areas", lambda: tactile.MarkerSet(xy=[], areas=["x"], merged=[])),
+    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[math.nan], merged=[False])),
+    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[10**400], merged=[False])),
+    ("prev_index", lambda: tactile.DisplacementField(
+        prev_index=["a"], curr_index=[0], shifts=[(0.0, 0.0)], lost=[], appeared=[])),
+    ("shifts", lambda: tactile.DisplacementField(
+        prev_index=[], curr_index=[], shifts=None, lost=[], appeared=[])),
+    ("lost", lambda: tactile.DisplacementField(
+        prev_index=[], curr_index=[], shifts=[], lost=[None], appeared=[])),
+    ("appeared", lambda: tactile.DisplacementField(
+        prev_index=[], curr_index=[], shifts=[], lost=[], appeared=[[0], [0, 1]])),
 ], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
-        "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections"])
+        "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections",
+        "xy-none", "xy-odd-size", "areas-string", "areas-nan", "areas-past-int64",
+        "prev-index-string", "shifts-none", "lost-none", "appeared-ragged"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
         call()
@@ -330,6 +434,9 @@ OVERFLOWS = {
     "predict_load.strain": ("strain", lambda: spring.predict_load(1e307, SPEC)),
     "predict_strain.load": ("load", lambda: spring.predict_strain(1e300, TINY_SLOPES)),
     "estimate_object_mass.g": ("g", lambda: spring.estimate_object_mass(0.5, SPEC, g=1e-320)),
+    **{f"payload_to_weight_ratio.{kind}": (
+        "gripper_weight_kg", lambda payload=payload: expio.payload_to_weight_ratio(payload, 5e-324))
+       for kind, payload in (("float", 0.25), ("float64", np.float64(0.25)))},
     "simulate_phases.full_close_angle": (
         "full_close_angle", lambda: grasp.simulate_phases(
             grasp.GripperGeometry(0.1, full_close_angle=1.7976931348623157e308,
