@@ -27,9 +27,8 @@ class FitError(TwistgripError, RuntimeError):
 
 def real(value):
     """float(value) for a numbers.Real but no bool (+-inf past the float range); else TypeError."""
-    if isinstance(value, float):  # np.float64 too; a float or an int skips the slower ABC test
-        return float(value)
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+    if not isinstance(value, float) and type(value) is not int and (  # the ABC test is slower
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError(f"not a number: {value!r}")
     try:
         return float(value)

@@ -127,7 +127,8 @@ class Deformation:
         pairs = {}
         for mid, displacement in self.displacements.items():
             try:
-                dx, dy = map(real, displacement)
+                dx, dy = displacement
+                dx, dy = (dx, dy) if type(dx) is type(dy) is float else (real(dx), real(dy))
             except (TypeError, ValueError):
                 raise ValidationError(f"displacement of marker {mid!r} must be a pair of real "
                                       f"numbers (dx, dy), got {displacement!r}") from None

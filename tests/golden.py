@@ -160,7 +160,7 @@ def _exit2_rows(tmp, with_numpy):
             yield f"exit2.{family}", numpy, _run([a.format(tmp=tmp) for a in argv], tmp)
 
 
-def load_bench_inputs():
+def _load_bench_inputs():
     """perfbench/inputs.py as a module, loaded by path under its own name."""
     spec = importlib.util.spec_from_file_location("golden_bench_inputs",
                                                   ROOT / "perfbench" / "inputs.py")
@@ -172,9 +172,8 @@ def load_bench_inputs():
 
 def _bench_rows():
     """Frames and sidecars of each frame pair, rendered as the tactile-dense workload does."""
-    import numpy as np
     from twistgrip import tactile
-    inputs = load_bench_inputs()
+    inputs = _load_bench_inputs()
     camera = tactile.CameraModel(width=inputs.IMAGE_WIDTH, height=inputs.IMAGE_HEIGHT)
     for seed in BENCH_SEEDS:
         gen = inputs.tactile_inputs(seed)
@@ -188,7 +187,6 @@ def _bench_rows():
                 frame, sidecar = tactile.render_frame(layout, deformation, camera,
                                                       noise_sigma=inputs.NOISE_SIGMA,
                                                       seed=render_seed)
-                assert frame.pixels.dtype == np.uint8
                 parts += [str(frame.pixels.shape), frame.pixels.tobytes(),
                           json.dumps(sidecar, sort_keys=True, allow_nan=False)]
             yield f"bench.seed{seed}.pair{k}", True, _digest(*parts)
@@ -208,6 +206,7 @@ def digests(with_numpy=True):
 
 
 def versions():
+    """The Python and numpy versions the digests are computed with."""
     import numpy as np
     return {"python": platform.python_version(), "numpy": np.__version__}
 
@@ -225,8 +224,9 @@ def main(argv=None):
         print(f"wrote {len(rows)} rows to {FIXTURE.relative_to(ROOT)}")
         return 0
     fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    here = versions()
     print(f"fixture: Python {fixture['python']}, numpy {fixture['numpy']}; "
-          f"here: Python {versions()['python']}, numpy {versions()['numpy']}")
+          f"here: Python {here['python']}, numpy {here['numpy']}")
     differ = sorted(name for name in fixture["rows"].keys() | rows.keys()
                     if fixture["rows"].get(name) != rows.get(name))
     for name in differ:

@@ -257,6 +257,15 @@ def _abc_id_rejected(mid):
     return not isinstance(mid, numbers.Integral) or isinstance(mid, bool)
 
 
+def _abc_displacement(displacement):
+    """Deformation's check of one displacement: the stored pair, or the error type."""
+    try:
+        dx, dy = map(_abc_real, displacement)
+    except (TypeError, ValueError):
+        return ValidationError
+    return (dx, dy) if math.isfinite(dx) and math.isfinite(dy) else DomainError
+
+
 class _Float(float):
     """A float subclass that is not numpy's."""
 
@@ -290,8 +299,8 @@ def _outcome(call, *args, **kwargs):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(value=ANYTHING, at_least=st.sampled_from([0, 1, 2]))
-def test_fast_paths_match_the_abc_rules(value, at_least):
+@given(value=ANYTHING, other=ANYTHING, at_least=st.sampled_from([0, 1, 2]))
+def test_fast_paths_match_the_abc_rules(value, other, at_least):
     """Same value bits and type, or the same exception, as the rules without fast paths."""
     assert _outcome(real, value) == _outcome(_abc_real, value)
     assert within(-1.0, 1.0, value) == _abc_within(-1.0, 1.0, value)
@@ -305,6 +314,15 @@ def test_fast_paths_match_the_abc_rules(value, at_least):
     else:
         assert not _abc_id_rejected(value)
         assert layout.ids == (int(value),) and type(layout.ids[0]) is int
+    for displacement in ((value, other), (value, 0.5), (0.5, value)):
+        expected = _abc_displacement(displacement)
+        try:
+            pair = tactile.Deformation(displacements={7: displacement}).displacements[7]
+        except TwistgripError as exc:
+            assert type(exc) is expected
+        else:
+            assert [(type(d), struct.pack("<d", d)) for d in pair] == [
+                (type(d), struct.pack("<d", d)) for d in expected]
 
 
 # (field named in the error, call with a finite value outside the field's domain)
