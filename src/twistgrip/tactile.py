@@ -127,7 +127,7 @@ class Deformation:
         pairs = {}
         for mid, displacement in self.displacements.items():
             try:
-                dx, dy = displacement
+                dx, dy = displacement  # real() returns a plain float as it is
                 dx, dy = (dx, dy) if type(dx) is type(dy) is float else (real(dx), real(dy))
             except (TypeError, ValueError):
                 raise ValidationError(f"displacement of marker {mid!r} must be a pair of real "

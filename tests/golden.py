@@ -153,6 +153,7 @@ EXIT2 = {
 
 
 def _exit2_rows(tmp, with_numpy):
+    """(name, loads numpy, digest) of each EXIT2 case, its files written into tmp first."""
     for family, (numpy, argv, files) in EXIT2.items():
         if with_numpy or not numpy:
             for name, text in files.items():
@@ -194,15 +195,12 @@ def _bench_rows():
 
 def digests(with_numpy=True):
     """{row: {"numpy": loads numpy, "sha256": digest}}; with_numpy=False keeps the other rows."""
-    rows = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         found = [*_criterion7_rows(tmp, with_numpy), *_exit2_rows(tmp, with_numpy)]
     if with_numpy:
         found += _bench_rows()
-    for name, numpy, sha in found:
-        rows[name] = {"numpy": numpy, "sha256": sha}
-    return rows
+    return {name: {"numpy": numpy, "sha256": sha} for name, numpy, sha in found}
 
 
 def versions():

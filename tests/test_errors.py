@@ -227,8 +227,9 @@ class TestHelpers:
                 require_key(doc, *keys)
 
 
-# The number and integer rules as they stood before their exact-type fast paths, verbatim but
-# for the names: the oracle the fast paths must match on every input.
+# The number and integer rules, and Deformation's check of a pair, as they were before their
+# exact-type fast paths (verbatim but for the names and the pair check's returned outcome): the
+# oracle the fast paths must match on every input.
 def _abc_real(value):
     """float(value) for a numbers.Real but no bool (+-inf past the float range); else TypeError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
