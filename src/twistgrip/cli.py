@@ -8,6 +8,10 @@ machine-readable JSON mode next to the human-readable default.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.
 
+Each command computes its whole result first; `main` then writes the result's
+files in order and prints stdout last, so a failing write exits 2 with nothing
+on stdout.
+
 Each command imports the modules it runs when it runs, so `spring predict`,
 `grasp simulate` and `grasp validate` never load numpy, and only the tactile
 commands load `tactile`. `pressure` is imported here for the parser's
@@ -16,7 +20,9 @@ defaults; it loads numpy on its first quadrature only.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -29,13 +35,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
-
-def _emit(payload, as_json, human_lines):
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    else:
-        for line in human_lines:
-            print(line)
+# A command's outcome: the --json payload, the human lines, the (path, writer) pairs that
+# main calls in order as writer(path), and the exit code.
+Result = collections.namedtuple("Result", "payload human files code", defaults=((), EXIT_OK))
 
 
 def _from_json_file(path, build):
@@ -135,18 +137,15 @@ def _pressure_result(args, g, n_intervals):
 
 def cmd_pressure(args):
     payload, _, human = _pressure_result(args, args.g, args.n_intervals)
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return Result(payload, human)
 
 
 def cmd_spring_fit(args):
     from . import expio, spring
     curve = expio.read_payload_csv(args.infile, skin_height=args.skin_height)
     payload, _, human = _fit_result(spring.fit_zones(curve))
-    _emit(payload, args.json, human)
-    if args.out:
-        expio.write_json(payload, args.out)
-    return EXIT_OK
+    return Result(payload, human,
+                  [(args.out, functools.partial(expio.write_json, payload))] if args.out else ())
 
 
 def cmd_spring_predict(args):
@@ -162,8 +161,7 @@ def cmd_spring_predict(args):
         strain = spring.predict_strain(args.load, spec)
         payload = {"load_n": args.load, "strain": strain}
         human = [f"strain at load {args.load:.6g} N: {strain:.6g}"]
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return Result(payload, human)
 
 
 def cmd_grasp_simulate(args):
@@ -183,8 +181,7 @@ def cmd_grasp_simulate(args):
         p = grasp.holding_pressure(scenario, pressure.FrictionModel(k=args.k))
         payload["holding_pressure_n_per_m"] = p
         human.append(f"holding line pressure: {p:.6g} N/m (k={args.k})")
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return Result(payload, human)
 
 
 def cmd_grasp_validate(args):
@@ -211,8 +208,7 @@ def cmd_grasp_validate(args):
             f"  [{mark}] {row.label}: predicted {row.predicted.value}, "
             f"recorded success {row.success_rate:.0%}"
         )
-    _emit(payload, args.json, human)
-    return EXIT_OK if report.n_agree == report.n_total else EXIT_USAGE
+    return Result(payload, human, code=EXIT_OK if report.n_agree == report.n_total else EXIT_USAGE)
 
 
 def _load_layout(args):
@@ -244,12 +240,11 @@ def cmd_tactile_render(args):
     frame, sidecar = tactile.render_frame(
         layout, deformation, camera, noise_sigma=args.noise, seed=args.seed
     )
-    tactile.write_pgm(frame, args.out)
+    files = [(args.out, functools.partial(tactile.write_pgm, frame))]
     if args.sidecar:
-        expio.write_json(sidecar, args.sidecar)
-    print(f"wrote {args.out} ({frame.width}x{frame.height}, "
-          f"{len(sidecar['visible'])} markers visible)")
-    return EXIT_OK
+        files.append((args.sidecar, functools.partial(expio.write_json, sidecar)))
+    return Result(sidecar, [f"wrote {args.out} ({frame.width}x{frame.height}, "
+                            f"{len(sidecar['visible'])} markers visible)"], files)
 
 
 def _detect_file(path, args):
@@ -271,8 +266,7 @@ def cmd_tactile_detect(args):
     human = [f"{len(markers)} markers detected"]
     for (x, y), area, merged in rows:
         human.append(f"  ({x:.2f}, {y:.2f}) area={area}" + (" merged" if merged else ""))
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return Result(payload, human)
 
 
 def _track_from_files(args):
@@ -293,8 +287,7 @@ def cmd_tactile_track(args):
     human = [f"{len(matches)} matched, {len(field.lost)} lost, {len(field.appeared)} new"]
     for i, j, (dx, dy) in matches:
         human.append(f"  {i} -> {j}: ({dx:+.2f}, {dy:+.2f}) px")
-    _emit(payload, args.json, human)
-    return EXIT_OK
+    return Result(payload, human)
 
 
 def cmd_tactile_summarize(args):
@@ -308,63 +301,56 @@ def cmd_tactile_summarize(args):
         "air_support_kpa": summary.air_support_kpa,
         "label": summary.label,
     }
-    _emit(payload, args.json, [
+    return Result(payload, [
         f"label: {summary.label}",
         f"mean displacement: {summary.mean_displacement:.3f} px",
         f"displacement variance: {summary.displacement_variance:.3f} px^2",
         f"visible markers: {summary.visible_count}",
     ])
-    return EXIT_OK
 
 
 def cmd_report(args):
+    """The payload is the report.json document; the one effect here is mkdir of --out-dir."""
     from . import expio, grasp, spring
-    # every section is computed before anything is written, so a failing one leaves no file
     curve = expio.read_payload_csv(args.curve)
     fit = spring.fit_zones(curve)
     strains = list(curve.strains)
-    fitted = [fit.predict(s) for s in strains]
+    series = [(strains, list(curve.loads), "measured"),
+              (strains, [fit.predict(s) for s in strains], "fitted")]
     plot_name = "payload_fit.svg"
-    _, metrics, _ = _fit_result(fit)
-    sections = [expio.ReportSection(title="Two-zone spring fit", metrics=metrics, plot=plot_name)]
-
+    sections = [("Two-zone spring fit", _fit_result(fit)[1], plot_name)]
     _, metrics, _ = _pressure_result(args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
-    sections.append(expio.ReportSection(title="Line pressure cross-check", metrics=metrics))
+    sections.append(("Line pressure cross-check", metrics, None))
 
     payload_ref = expio.load_reference_dataset("table1_payload")["rows"][0]
     computed_ratio = expio.payload_to_weight_ratio(
         payload_ref["max_payload_kgf"], payload_ref["weight_kg"]
     )
-    sections.append(expio.ReportSection(
-        title="Payload-to-weight ratio",
-        metrics={
-            "computed_ratio": {"value": computed_ratio, "unit": "%"},
-            "recorded_ratio": {"value": payload_ref["reported_ratio_percent"], "unit": "%"},
-            "note": {
-                "value": "computed from recorded payload and weight; differs from the recorded ratio",
-                "unit": "",
-            },
+    sections.append(("Payload-to-weight ratio", {
+        "computed_ratio": {"value": computed_ratio, "unit": "%"},
+        "recorded_ratio": {"value": payload_ref["reported_ratio_percent"], "unit": "%"},
+        "note": {
+            "value": "computed from recorded payload and weight; differs from the recorded ratio",
+            "unit": "",
         },
-    ))
+    }, None))
 
     for dataset in _REPLAY_TABLES.values():
         rep = grasp.validate_against_reference(dataset)
-        sections.append(expio.ReportSection(
-            title=f"Feasibility replay: {dataset}",
-            metrics={"agreement": {"value": f"{rep.n_agree}/{rep.n_total}", "unit": "rows"}},
-        ))
+        sections.append((f"Feasibility replay: {dataset}",
+                         {"agreement": {"value": f"{rep.n_agree}/{rep.n_total}", "unit": "rows"}},
+                         None))
+    doc = {"format_version": 1, "sections": [
+        {"title": title, "metrics": metrics, "plot": plot} for title, metrics, plot in sections]}
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    expio.emit_plot(
-        [(strains, list(curve.loads), "measured"), (strains, fitted, "fitted")],
-        out_dir / plot_name,
-        title="Payload curve: measured vs fitted",
-        x_label="strain", y_label="load [N]",
-    )
-    expio.write_report_json(expio.Report(sections=tuple(sections)), out_dir / "report.json")
-    print(f"report written to {out_dir / 'report.json'}")
-    return EXIT_OK
+    return Result(doc, [f"report written to {out_dir / 'report.json'}"], [
+        (out_dir / plot_name, functools.partial(
+            expio.emit_plot, series, title="Payload curve: measured vs fitted",
+            x_label="strain", y_label="load [N]")),
+        (out_dir / "report.json", functools.partial(expio.write_json, doc)),
+    ])
 
 
 def build_parser():
@@ -468,7 +454,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        out = (json.dumps(result.payload, indent=2, sort_keys=True, allow_nan=False)
+               if getattr(args, "json", False) else "\n".join(result.human))
+        for path, write in result.files:
+            write(path)
+        print(out)
+        return result.code
     except (TwistgripError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

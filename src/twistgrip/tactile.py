@@ -181,12 +181,19 @@ class TactileFrame:
 
 
 def _set_arrays(record, **dtypes):
-    """Fields as np.asarray(field, dtype), floats in (N, 2) rows; junk raises ValidationError."""
+    """Fields as arrays of dtype, floats in (N, 2) rows; a value the cast changes raises."""
     for name, dtype in dtypes.items():
         try:
-            array = np.asarray(getattr(record, name), dtype=dtype)
+            array = given = np.asarray(getattr(record, name))
+            if given.dtype != dtype:  # detect_markers and track build theirs in the field's dtype
+                if given.dtype.kind not in "biuf":
+                    raise TypeError
+                with np.errstate(invalid="ignore"):  # NaN or out of range: unequal below
+                    array = given.astype(dtype)
+                if not np.array_equal(array, given, equal_nan=True):
+                    raise ValueError
             object.__setattr__(record, name, array.reshape(-1, 2) if dtype is float else array)
-        except (TypeError, ValueError, OverflowError):  # no number, ragged, NaN, past int64
+        except (TypeError, ValueError):  # no number, ragged, or changed by the cast
             raise ValidationError(f"{name} must be an array of {np.dtype(dtype).name}") from None
 
 

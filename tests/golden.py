@@ -4,7 +4,8 @@ Each row digests one behaviour:
 - cli.*: exit code, stdout, stderr and written files of one of the twelve
   invocations of acceptance criterion 7;
 - human.*: a `grasp validate` table in human mode;
-- exit2.*: exit code and stderr of one exit-2 case per boundary message family;
+- exit2.*: exit code, stdout and stderr of one exit-2 case per boundary message family,
+  and of a write into a missing directory;
 - bench.*: frames and sidecars of one frame pair of the benchmark's tactile
   inputs (perfbench/inputs.py, loaded by path), seeds 1 and 2.
 
@@ -65,8 +66,11 @@ def _run(argv, tmp, outputs=()):
     return _digest(str(code), *streams, *(part for path in outputs for part in _written(path)))
 
 
-def _criterion7_rows(tmp, with_numpy):
-    """(name, loads numpy, digest) of criterion 7's invocations, in its order."""
+def criterion7_invocations(tmp, with_numpy=True):
+    """(name, loads numpy, argv, files written) of criterion 7's invocations, in its order.
+
+    The scenario file and, with_numpy, the payload curve they read are written into tmp first.
+    """
     scenario = tmp / "scenario.json"
     scenario.write_text(json.dumps(SCENARIO))
     csv, fit, frame, shifted, sidecar, report = (
@@ -80,7 +84,7 @@ def _criterion7_rows(tmp, with_numpy):
         expio.write_payload_csv(PayloadCurve(strains=tuple(strains),
                                              loads=tuple(predict_load(s, spec) for s in strains)),
                                 csv)
-    invocations = [
+    return [
         ("pressure", True, ["pressure", "--mass", "0.21", "--radius", "0.025", "--k", "0.5",
                             "--json"], []),
         ("spring_fit", True, ["spring", "fit", "--in", csv, "--out", fit, "--json"], [fit]),
@@ -102,7 +106,11 @@ def _criterion7_rows(tmp, with_numpy):
                                      "--air-support", "3", "--json"], []),
         ("report", True, ["report", "--curve", csv, "--out-dir", report], [report]),
     ]
-    for name, numpy, argv, outputs in invocations:
+
+
+def _criterion7_rows(tmp, with_numpy):
+    """(name, loads numpy, digest) of criterion 7's invocations, in its order."""
+    for name, numpy, argv, outputs in criterion7_invocations(tmp, with_numpy):
         if with_numpy or not numpy:
             yield f"cli.{name}", numpy, _run(argv, tmp, outputs)
     for table in ("table2", "table3"):
@@ -149,6 +157,9 @@ EXIT2 = {
     "view_width": (True, ["tactile", "render", "--view-width", "1e-320", "--out", "{tmp}/o.pgm"],
                    {}),
     "too_large": (True, ["tactile", "render", "--width", str(2**63), "--out", "{tmp}/o.pgm"], {}),
+    "write": (True, ["spring", "fit", "--in", "{tmp}/c.csv", "--out", "{tmp}/absent/fit.json",
+                     "--json"],
+              {"c.csv": "strain,force_n\n0,0\n0.2,20\n0.4,40\n0.6,100\n0.8,160\n1,220\n"}),
 }
 
 

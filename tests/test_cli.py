@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden
 import twistgrip
 from twistgrip import expio
-from twistgrip.cli import build_parser, main
+from twistgrip.cli import Result, build_parser, cmd_report, main
 from twistgrip.spring import PayloadCurve, SkinSpec, predict_load
 
 
@@ -474,6 +475,53 @@ class TestDeterminism:
             _, out, _ = run(capsys, ["spring", "fit", "--in", str(synthetic_csv), "--json"])
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def _tree(root):
+    """{path: bytes, or None for a directory} of everything under root."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestResultContract:
+    """Each command computes one Result and touches no file; main alone writes and prints."""
+
+    def test_command_returns_result_and_main_writes_exactly_its_files(self, capsys, tmp_path):
+        for name, _, argv, _ in golden.criterion7_invocations(tmp_path):
+            argv = [str(a) for a in argv]
+            before = _tree(tmp_path)
+            args = build_parser().parse_args(argv)
+            result = args.func(args)
+            assert isinstance(result, Result), name
+            out_dir = {Path(args.out_dir): None} if name == "report" else {}
+            assert _tree(tmp_path) == {**before, **out_dir}, name  # report makes --out-dir only
+            assert capsys.readouterr().out == "", name
+            assert main(argv) == result.code == 0, name
+            capsys.readouterr()
+            after = _tree(tmp_path)
+            written = {p for p, data in after.items() if data is not None and p not in before}
+            assert written == {Path(path) for path, _ in result.files}, name
+
+    def test_report_payload_is_the_written_document(self, capsys, synthetic_csv, tmp_path):
+        argv = ["report", "--curve", str(synthetic_csv), "--out-dir", str(tmp_path / "report")]
+        payload = cmd_report(build_parser().parse_args(argv)).payload
+        assert main(argv) == 0
+        assert payload == json.loads((tmp_path / "report" / "report.json").read_text())
+
+    @pytest.mark.parametrize("argv, path", [
+        (["spring", "fit", "--in", "{csv}", "--out", "{tmp}/absent/fit.json", "--json"],
+         "{tmp}/absent/fit.json"),
+        (["tactile", "render", "--out", "{tmp}/absent/frame.pgm"], "{tmp}/absent/frame.pgm"),
+        (["tactile", "render", "--out", "{tmp}/frame.pgm", "--sidecar", "{tmp}/absent/gt.json"],
+         "{tmp}/absent/gt.json"),
+        (["report", "--curve", "{csv}", "--out-dir", "{tmp}/report"], "{tmp}/report/report.json"),
+    ], ids=["spring-fit-out", "tactile-render-out", "tactile-render-sidecar", "report-json"])
+    def test_failing_write_exits_2_naming_path_with_nothing_on_stdout(
+            self, capsys, synthetic_csv, tmp_path, argv, path):
+        (tmp_path / "report" / "report.json").mkdir(parents=True)  # a directory in the way
+        fill = {"csv": synthetic_csv, "tmp": tmp_path}
+        code, out, err = run(capsys, [arg.format(**fill) for arg in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and path.format(**fill) in err
 
 
 VALID_FILES = {

@@ -404,6 +404,15 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
     ("areas", lambda: tactile.MarkerSet(xy=[], areas=["x"], merged=[])),
     ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[math.nan], merged=[False])),
     ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[10**400], merged=[False])),
+    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([math.nan]),
+                                        merged=[False])),
+    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([2.7]), merged=[False])),
+    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([1e30]), merged=[False])),
+    ("merged", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[1], merged=["no"])),
+    ("merged", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[1], merged=[0.5])),
+    ("prev_index", lambda: tactile.DisplacementField(
+        prev_index=np.array([math.inf]), curr_index=[0], shifts=[(0.0, 0.0)], lost=[],
+        appeared=[])),
     ("prev_index", lambda: tactile.DisplacementField(
         prev_index=["a"], curr_index=[0], shifts=[(0.0, 0.0)], lost=[], appeared=[])),
     ("shifts", lambda: tactile.DisplacementField(
@@ -415,6 +424,8 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
 ], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
         "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections",
         "xy-none", "xy-odd-size", "areas-string", "areas-nan", "areas-past-int64",
+        "areas-float-array-nan", "areas-float-array-fraction", "areas-float-array-past-int64",
+        "merged-string", "merged-fraction", "prev-index-float-array-inf",
         "prev-index-string", "shifts-none", "lost-none", "appeared-ragged"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
