@@ -318,30 +318,29 @@ def cmd_report(args):
     series = [(strains, list(curve.loads), "measured"),
               (strains, [fit.predict(s) for s in strains], "fitted")]
     plot_name = "payload_fit.svg"
-    sections = [("Two-zone spring fit", _fit_result(fit)[1], plot_name)]
+    sections = [expio.ReportSection("Two-zone spring fit", _fit_result(fit)[1], plot_name)]
     _, metrics, _ = _pressure_result(args, pressure.G_DEFAULT, pressure.N_INTERVALS_DEFAULT)
-    sections.append(("Line pressure cross-check", metrics, None))
+    sections.append(expio.ReportSection("Line pressure cross-check", metrics))
 
     payload_ref = expio.load_reference_dataset("table1_payload")["rows"][0]
     computed_ratio = expio.payload_to_weight_ratio(
         payload_ref["max_payload_kgf"], payload_ref["weight_kg"]
     )
-    sections.append(("Payload-to-weight ratio", {
+    sections.append(expio.ReportSection("Payload-to-weight ratio", {
         "computed_ratio": {"value": computed_ratio, "unit": "%"},
         "recorded_ratio": {"value": payload_ref["reported_ratio_percent"], "unit": "%"},
         "note": {
             "value": "computed from recorded payload and weight; differs from the recorded ratio",
             "unit": "",
         },
-    }, None))
+    }))
 
     for dataset in _REPLAY_TABLES.values():
         rep = grasp.validate_against_reference(dataset)
-        sections.append((f"Feasibility replay: {dataset}",
-                         {"agreement": {"value": f"{rep.n_agree}/{rep.n_total}", "unit": "rows"}},
-                         None))
-    doc = {"format_version": 1, "sections": [
-        {"title": title, "metrics": metrics, "plot": plot} for title, metrics, plot in sections]}
+        sections.append(expio.ReportSection(
+            f"Feasibility replay: {dataset}",
+            {"agreement": {"value": f"{rep.n_agree}/{rep.n_total}", "unit": "rows"}}))
+    doc = expio.Report(sections=tuple(sections)).to_json()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
