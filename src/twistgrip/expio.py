@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -64,7 +65,7 @@ def read_payload_csv(path, skin_height=None):
     """
     # undecodable bytes survive as escapes, so they fail the header or number parse below;
     # text mode has already turned \r\n and \r into \n
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(os.fspath(path), "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.read().split("\n")
     rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
             if line and not line.startswith("#")]
@@ -95,7 +96,7 @@ def read_payload_csv(path, skin_height=None):
 def write_payload_csv(curve, path):
     """Write a payload curve in the canonical CSV format (round-trip exact)."""
     rows = "".join([f"{strain!r},{load!r}\n" for strain, load in zip(curve.strains, curve.loads)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n" + rows)
 
 
@@ -173,13 +174,13 @@ def emit_plot(series, path, *, title, x_label, y_label):
             f'font-family="sans-serif" font-size="12">{label}</text>'
         )
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_json(doc, path):
     """Write doc as key-sorted JSON indented by 2, with a final newline; NaN and inf raise."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 

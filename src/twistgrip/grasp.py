@@ -1,11 +1,10 @@
 """Three-phase grasp trace and explainable feasibility rules.
 
 A grasp proceeds through Approaching, Lifting, and Holding. During
-Lifting/Holding the base rotates at a fixed speed and the skin's coverage of
-the object grows linearly with rotation angle until it saturates at the full
-close angle. Feasibility is a deterministic rule cascade over object geometry
-and environment (first matching rule wins), each failure carrying a reason
-code.
+Lifting/Holding the base rotates and the skin's coverage of the object grows
+linearly with rotation angle until it saturates at the full close angle.
+Feasibility is a deterministic rule cascade over object geometry and
+environment (first matching rule wins), each failure carrying a reason code.
 """
 from __future__ import annotations
 
@@ -57,15 +56,14 @@ class Reason(str, Enum):
 
 @dataclass(frozen=True)
 class GripperGeometry:
-    """Aperture diameter (m), saturation rotation angle (rad), base speed (rad/s)."""
+    """Aperture diameter (m) and saturation rotation angle (rad)."""
 
     aperture_diameter: float
     full_close_angle: float = 2.0 * math.pi
-    rotation_speed: float = math.pi / 2.0
 
     def __post_init__(self):
         require_positive(aperture_diameter=self.aperture_diameter,
-                         full_close_angle=self.full_close_angle, rotation_speed=self.rotation_speed)
+                         full_close_angle=self.full_close_angle)
 
     @classmethod
     def from_name(cls, name):
@@ -133,8 +131,7 @@ def simulate_phases(geom):
     The object is inside the petal region, so Approaching hands over to Lifting
     at the first step; the phase becomes Holding when coverage saturates.
     """
-    dt = geom.full_close_angle / (geom.rotation_speed * TRACE_STEPS)
-    step = geom.rotation_speed * dt
+    step = geom.full_close_angle / TRACE_STEPS
     require_positive(step_angle=step)  # a step that underflows never ends
     phase, angle = Phase.APPROACHING, 0.0
     trace = [(phase.value, angle, geom.coverage(angle))]

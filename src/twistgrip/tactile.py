@@ -10,6 +10,7 @@ the renderer's ground truth doubles as a test oracle.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -181,7 +182,7 @@ class TactileFrame:
 
 
 def _set_arrays(record, **dtypes):
-    """Fields as arrays of dtype, floats in (N, 2) rows; a value the cast changes raises."""
+    """Fields as arrays of dtype, floats in (N, 2) rows, the rest 1-D; a changing cast raises."""
     for name, dtype in dtypes.items():
         try:
             array = given = np.asarray(getattr(record, name))
@@ -192,8 +193,10 @@ def _set_arrays(record, **dtypes):
                     array = given.astype(dtype)
                 if not np.array_equal(array, given, equal_nan=True):
                     raise ValueError
+            if array.ndim != 1 and dtype is not float:
+                raise ValueError
             object.__setattr__(record, name, array.reshape(-1, 2) if dtype is float else array)
-        except (TypeError, ValueError):  # no number, ragged, or changed by the cast
+        except (TypeError, ValueError):  # no number, ragged, not 1-D, or changed by the cast
             raise ValidationError(f"{name} must be an array of {np.dtype(dtype).name}") from None
 
 
@@ -634,7 +637,7 @@ def default_gate(layout, camera):
 def write_pgm(frame, path):
     """Write a binary portable graymap (P5, maxval 255)."""
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with open(os.fspath(path), "wb") as fh:
         fh.write(header)
         fh.write(frame.pixels.tobytes())
 
@@ -645,7 +648,7 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,9})" * 3 + rb"
 
 def read_pgm(path):
     """Read a binary graymap written by write_pgm; a malformed file raises ParseError naming it."""
-    with open(path, "rb") as fh:
+    with open(os.fspath(path), "rb") as fh:
         data = fh.read()
     header = _PGM_HEADER.match(data)
     if header is None:

@@ -4,8 +4,11 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -317,13 +320,6 @@ class TestTactileCommands:
         assert out == ""
         assert str(frame) in err and "internal error" not in err
 
-    def test_detect_negative_min_area_exits_2_naming_it(self, capsys, tmp_path):
-        frame = tmp_path / "f.pgm"
-        frame.write_bytes(VALID_FILES["pgm"])
-        code, out, err = run(capsys, ["tactile", "detect", "--in", str(frame), "--min-area", "-3"])
-        assert code == 2
-        assert out == "" and err.startswith("error: min_area must be >= 0")
-
     def test_render_radius_far_beyond_the_frame(self, capsys, tmp_path):
         # 6.4e7 px discs light every pixel; an offset array that grew with r would not fit
         frame, sidecar = tmp_path / "f.pgm", tmp_path / "f.json"
@@ -362,52 +358,78 @@ class TestTactileCommands:
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("argv,field", [
-    (["tactile", "track", "--gate", "nan"], "gate"),
-    (["tactile", "summarize", "--air-support", "nan"], "air_support_kpa"),
-    (["tactile", "summarize", "--air-support", "-1"], "air_support_kpa"),
-    (["tactile", "render", "--grid", "2x2", "--view-width", "nan"], "view_width"),
-    (["tactile", "render", "--grid", "2x2", "--view-width", "1e-320"], "--view-width"),
-    (["tactile", "render", "--grid", "2x2", "--shift", "nan", "0"], "--shift"),
-    (["tactile", "render", "--grid", "2x2", "--noise", "nan"], "noise_sigma"),
-    (["tactile", "render", "--grid", "2x2", "--noise", "-1"], "noise_sigma"),
-    (["tactile", "render", "--grid", "2x2", "--noise", "1", "--seed", "-1"], "seed"),
-    (["tactile", "render", "--grid", "2x2", "--seed", "-3"], "seed"),
-    (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
-      "--strain", "0.5", "--g", "nan"], "g"),
-    (["pressure", "--mass", "1", "--radius", "1e-170", "--k", "0.5"], "radius"),
-    (["pressure", "--mass", "1", "--radius", "1e300", "--k", "0.5"], "radius"),
-    (["pressure", "--mass", "0.21", "--radius", "1e154", "--k", "0.5", "--json"], "radius"),
-    (["pressure", "--mass", "0", "--radius", "1e154", "--k", "0.5", "--json"], "radius"),
-    (["pressure", "--mass", "1e300", "--radius", "1e-150", "--k", "0.5"], "mass"),
-    (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
-      "--strain", "0.5", "--g", "1e-320"], "g"),
-    (["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
-      "--strain", "1e307", "--json"], "strain"),
-    (["spring", "predict", "--slope1", "1e-310", "--slope2", "1e-309", "--breakpoint", "0.4",
-      "--load", "1e300", "--json"], "load"),
-    (["report", "--radius", "1e154"], "radius"),
-    (["spring", "fit", "--skin-height", "1e-320"], "skin_height"),
-], ids=["gate-nan", "air-support-nan", "air-support-negative", "view-width-nan",
-        "view-width-overflows-radius", "shift-nan", "noise-nan",
+def _commands(parser, words=()):
+    """(words, parser) of the program and of each subcommand, depth first."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, (*words, name))
+
+
+# "spring fit" -> its parser, for each command that runs (sets func)
+COMMANDS = {" ".join(words): parser for words, parser in _commands(build_parser())
+            if parser.get_default("func")}
+
+
+def _base_argv(tmp_path):
+    """{command: argv} of criterion 7's first invocation of each command, inputs in tmp_path:
+    the renders run, for the tactile commands' frames; report does not, so no --out-dir."""
+    bases = {}
+    for _, _, argv, _ in golden.criterion7_invocations(tmp_path):
+        argv = [str(a) for a in argv]
+        command = " ".join(a for a in argv[:2] if not a.startswith("-"))
+        if command == "tactile render":
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        bases.setdefault(command, argv)
+    return bases
+
+
+def _override(command, base, args):
+    """base, then args, whose values argparse keeps; a flag of args in a mutually exclusive
+    group drops the group's flags from base, each with its one value."""
+    parser = COMMANDS[command]
+    given = {parser._option_string_actions[a.partition("=")[0]] for a in args if a[:2] == "--"}
+    dropped = {flag for group in parser._mutually_exclusive_groups
+               if given.intersection(group._group_actions)
+               for action in group._group_actions for flag in action.option_strings}
+    return [*(a for a, before in zip(base, [None, *base]) if dropped.isdisjoint((a, before))),
+            *args]
+
+
+@pytest.mark.parametrize("command, args, field", [
+    ("tactile track", ["--gate", "nan"], "gate"),
+    ("tactile summarize", ["--air-support", "nan"], "air_support_kpa"),
+    ("tactile summarize", ["--air-support", "-1"], "air_support_kpa"),
+    ("tactile detect", ["--min-area", "-3"], "min_area"),
+    ("tactile render", ["--view-width", "nan"], "view_width"),
+    ("tactile render", ["--view-width", "1e-320"], "--view-width"),
+    ("tactile render", ["--shift", "nan", "0"], "--shift"),
+    ("tactile render", ["--noise", "nan"], "noise_sigma"),
+    ("tactile render", ["--noise", "-1"], "noise_sigma"),
+    ("tactile render", ["--seed", "-1"], "seed"),
+    ("tactile render", ["--noise", "0", "--seed", "-3"], "seed"),
+    ("spring predict", ["--g", "nan"], "g"),
+    ("pressure", ["--mass", "1", "--radius", "1e-170"], "radius"),
+    ("pressure", ["--mass", "1", "--radius", "1e300"], "radius"),
+    ("pressure", ["--radius", "1e154"], "radius"),
+    ("pressure", ["--mass", "0", "--radius", "1e154"], "radius"),
+    ("pressure", ["--mass", "1e300", "--radius", "1e-150"], "mass"),
+    ("spring predict", ["--g", "1e-320"], "g"),
+    ("spring predict", ["--strain", "1e307"], "strain"),
+    ("spring predict", ["--slope1", "1e-310", "--slope2", "1e-309", "--load", "1e300"], "load"),
+    ("report", ["--radius", "1e154"], "radius"),
+    ("spring fit", ["--skin-height", "1e-320"], "skin_height"),
+], ids=["gate-nan", "air-support-nan", "air-support-negative", "min-area-negative",
+        "view-width-nan", "view-width-overflows-radius", "shift-nan", "noise-nan",
         "noise-negative", "noisy-seed-negative", "seed-negative", "predict-g-nan",
         "radius-square-underflows", "radius-square-overflows", "pressure-support-overflows",
         "massless-support-overflows", "pressure-overflows", "predict-mass-overflows",
-        "predict-load-overflows", "predict-strain-overflows", "report-support-overflows",
+        "predict-strain-overflows", "predict-load-overflows", "report-support-overflows",
         "skin-height-overflows-strain"])
-def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, synthetic_csv, argv,
-                                                          field):
-    frame = tmp_path / "f.pgm"
-    if argv[1] in ("track", "summarize"):
-        run(capsys, ["tactile", "render", "--grid", "2x2", "--out", str(frame)])
-        argv = [*argv, "--prev", str(frame), "--curr", str(frame)]
-    elif argv[1] == "render":
-        argv = [*argv, "--out", str(frame)]
-    elif argv[0] == "report":
-        argv = [*argv, "--curve", str(synthetic_csv), "--out-dir", str(tmp_path / "report")]
-    elif argv[1] == "fit":
-        argv = [*argv, "--in", str(synthetic_csv)]
-    code, out, err = run(capsys, argv)
+def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, command, args, field):
+    code, out, err = run(capsys, _override(command, _base_argv(tmp_path)[command], args))
     assert code == 2
     assert out == ""
     assert f"error: {field} must" in err
@@ -528,7 +550,7 @@ VALID_FILES = {
     "csv": b"strain,force_n\n0.0,0.0\n0.2,20.0\n0.4,40.0\n0.6,100.0\n0.8,160.0\n",
     "pgm": b"P5\n6 4\n255\n" + bytes([0, 0, 255, 255, 0, 0] * 4),
     "scenario": json.dumps({
-        "gripper": {"aperture_diameter": 0.1, "full_close_angle": 6.0, "rotation_speed": 1.5},
+        "gripper": {"aperture_diameter": 0.1, "full_close_angle": 6.0},
         "object": {"shape_class": "sphere", "height_m": 0.05, "diameter_m": 0.04,
                    "mass_kg": 0.1, "label": "ball"},
         "submersion_fraction": 0.1, "inside_petal_region": True, "agitated_approach": False,
@@ -624,11 +646,6 @@ def test_fuzz_malformed_file_exits_0_or_2(kind, tmp_path_factory):
 CHILD_ENV = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONNOUSERSITE": "1",
              "PYTHONPATH": str(Path(twistgrip.__file__).resolve().parents[1]),
              "PYTHONWARNINGS": "error"}
-ADDRESS_SPACE_CAP = 3 * 2**30  # bytes; set in the child only, never in this process
-
-
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
 
 def test_cli_import_loads_no_scipy():
@@ -650,10 +667,6 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "
 sys.exit(code)
 """
 
-SCENARIO = {"gripper": "4in", "submersion_fraction": 0.3, "object": {
-    "shape_class": "sphere", "height_m": 0.052, "diameter_m": 0.045, "mass_kg": 0.057}}
-
-
 def _loaded_at_exit(argv):
     child = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], env=CHILD_ENV,
                            capture_output=True, text=True, timeout=60)
@@ -672,7 +685,7 @@ def _loaded_at_exit(argv):
         "grasp-validate-table3"])
 def test_math_only_command_runs_without_numpy(capsys, tmp_path, argv):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(SCENARIO))
+    scenario.write_text(json.dumps(golden.SCENARIO))
     argv = [arg.format(scenario=scenario) for arg in argv]
     code, out, err, loaded = _loaded_at_exit(argv)
     assert code == 0 and err == []
@@ -690,14 +703,6 @@ def test_tactile_command_loads_no_grasp(tmp_path):
     assert "twistgrip.tactile" in loaded and "twistgrip.grasp" not in loaded
 
 
-def _command_paths(parser, prefix=()):
-    yield prefix
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _command_paths(sub, (*prefix, name))
-
-
 HELP_FIXTURE = Path(__file__).with_name("fixtures") / "cli_help.json"
 
 
@@ -705,7 +710,7 @@ def test_help_text_unchanged(capsys, monkeypatch):
     """--help of the program and of every subcommand, against the recorded text (80 columns)."""
     monkeypatch.setenv("COLUMNS", "80")
     expected = json.loads(HELP_FIXTURE.read_text(encoding="utf-8"))
-    paths = [" ".join(path) for path in _command_paths(build_parser())]
+    paths = [" ".join(words) for words, _ in _commands(build_parser())]
     assert sorted(paths) == sorted(expected)
     for path in paths:
         with pytest.raises(SystemExit) as exc:
@@ -714,114 +719,108 @@ def test_help_text_unchanged(capsys, monkeypatch):
         assert capsys.readouterr().out == expected[path], path
 
 
-@pytest.mark.parametrize("argv, command", [
-    (["tactile", "render", "--grid", "5x5", "--width", "40000", "--height", "40000"],
-     "tactile render"),
-    (["pressure", "--mass", "1", "--radius", "0.1", "--k", "0.5", "--n-intervals", "2000000000"],
-     "pressure"),
-    (["tactile", "render", "--grid", "5x5", "--width", str(2**63)], "tactile render"),
-    (["pressure", "--mass", "1", "--radius", "0.1", "--k", "0.5", "--n-intervals", str(10**30)],
-     "pressure"),
+ADDRESS_SPACE_CAP = 3 * 2**30  # bytes; set in the child only, never in this process
+
+
+def _main_in_child(argv):
+    """(exit code, stdout, stderr) of main(argv) in a child forked from this process, which has
+    60 s, ADDRESS_SPACE_CAP and every warning as an error (a numpy overflow exits 1, not 2)."""
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that a child forked from a threaded process may deadlock. The other
+        # threads are numpy's BLAS pool; the child calls no BLAS routine and ends in os._exit.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child, which must never return into the test run
+        try:
+            signal.alarm(60)
+            resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+            warnings.simplefilter("error")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejected argv
+                    code = exc.code
+            with os.fdopen(write, "w") as pipe:
+                json.dump([code, out.getvalue(), err.getvalue()], pipe)
+        except BaseException:  # into the test's captured stderr; the parent sees no result
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        result = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert result, f"child died without a result, wait status {status:#x}: {argv}"
+    return tuple(json.loads(result))
+
+
+@pytest.mark.parametrize("argv, command", [  # argv is added to criterion 7's invocation
+    (["--width", "40000", "--height", "40000"], "tactile render"),
+    (["--n-intervals", "2000000000"], "pressure"),
+    (["--width", str(2**63)], "tactile render"),
+    (["--n-intervals", str(10**30)], "pressure"),
 ])
 def test_input_too_large_to_serve_exits_2_naming_subcommand(tmp_path, argv, command):
-    if argv[0] == "tactile":
-        argv = [*argv, "--out", str(tmp_path / "big.pgm")]
-    child = subprocess.run([sys.executable, "-m", "twistgrip.cli", *argv], env=CHILD_ENV,
-                           capture_output=True, text=True, timeout=120,
-                           preexec_fn=_cap_address_space)
-    assert child.returncode == 2, child.stderr
-    assert child.stderr.startswith(f"error: {command}: ")
-    assert "internal error" not in child.stderr
+    code, _, err = _main_in_child(_override(command, _base_argv(tmp_path)[command], argv))
+    assert code == 2, err
+    assert err.startswith(f"error: {command}: ")
+    assert "internal error" not in err
 
 
-# Numeric flags fuzzed one at a time: (argv prefix, valid flag values, the flags' kinds,
-# values that once exited 1 or printed a non-finite number, always tried first).
-FLAG_FUZZ = {
-    "pressure": (["pressure", "--json"], {"--mass": "0.21", "--radius": "0.025", "--k": "0.5"},
-                 {"--mass": float, "--radius": float, "--k": float, "--g": float,
-                  "--n-intervals": int},
-                 [("--radius", 1e-170), ("--radius", 1e300), ("--n-intervals", 2**60),
-                  ("--radius", 1e154), ("--mass", 1e306)]),
-    "spring fit": (["spring", "fit", "--json"], {}, {"--skin-height": float},
-                   [("--skin-height", 1e-320)]),
-    "grasp simulate": (["grasp", "simulate", "--json"], {}, {"--k": float}, []),
-    "report": (["report"], {}, {"--mass": float, "--radius": float, "--k": float}, []),
-    "spring predict": (["spring", "predict", "--json"],
-                       {"--slope1": "100", "--slope2": "400", "--breakpoint": "0.4",
-                        "--strain": "0.5"},
-                       {"--slope1": float, "--slope2": float, "--breakpoint": float,
-                        "--strain": float, "--load": float, "--g": float},
-                       [("--g", 1e-320), ("--strain", 1e307)]),
-    "tactile render": (["tactile", "render", "--grid", "2x2"],
-                       {"--width": "64", "--height": "48", "--noise": "1"},
-                       {"--width": int, "--height": int, "--view-width": float, "--noise": float,
-                        "--seed": int, "--shift": float},
-                       [("--seed", -1), ("--height", 2**60), ("--noise", 1e308),
-                        ("--width", 10**400)]),
-    "tactile detect": (["tactile", "detect", "--json"], {},
-                       {"--threshold": int, "--min-area": int},
-                       [("--min-area", -3), ("--threshold", 256)]),
-    "tactile track": (["tactile", "track", "--json"], {},
-                      {"--threshold": int, "--min-area": int, "--gate": float},
-                      [("--gate", 1e-300), ("--gate", 1e300)]),
-    "tactile summarize": (["tactile", "summarize", "--json"], {},
-                          {"--threshold": int, "--min-area": int, "--gate": float,
-                           "--air-support": float},
-                          [("--min-area", -3)]),
-}
 FUZZ_VALUES = {
     float: st.floats() | st.sampled_from([-1.0, 1e-170, 1e-300, 1e300]),
     # sizes are small or beyond any array, so no child fills memory before it fails
     int: st.integers(-1000, 1000) | st.sampled_from([10**12, 2**60, 2**63, 10**30, 10**400]),
 }
+# numbers that once exited 1 or printed a non-finite number, always tried first
+REGRESSIONS = {
+    "pressure": [("--radius", 1e-170), ("--radius", 1e300), ("--n-intervals", 2**60),
+                 ("--radius", 1e154), ("--mass", 1e306)],
+    "spring fit": [("--skin-height", 1e-320)],
+    "spring predict": [("--g", 1e-320), ("--strain", 1e307)],
+    "tactile render": [("--seed", -1), ("--height", 2**60), ("--noise", 1e308),
+                       ("--width", 10**400)],
+    "tactile detect": [("--min-area", -3), ("--threshold", 256)],
+    "tactile track": [("--gate", 1e-300), ("--gate", 1e300)],
+    "tactile summarize": [("--min-area", -3)],
+}
+
+
+# command -> {flag: action} of each flag whose value argparse converts to a number
+TYPED = {command: {a.option_strings[0]: a for a in parser._actions if a.type is not None}
+         for command, parser in COMMANDS.items()}
 
 
 def _reject_constant(token):
     raise AssertionError(f"stdout holds the non-JSON number {token}")
 
 
-def flag_argv(command, flag, value, workdir):
-    prefix, defaults, _, _ = FLAG_FUZZ[command]
-    if flag == "--load":  # --strain and --load exclude each other
-        defaults = {k: v for k, v in defaults.items() if k != "--strain"}
-    if flag == "--shift":  # two values, and argparse reads "-1e-170" as an option
-        tail = ["--shift", repr(abs(value)), "0"]
-    else:
-        tail = [f"{flag}={value!r}"]
-    argv = [*prefix, *(f"{k}={v}" for k, v in defaults.items() if k != flag), *tail]
-    frame_pair = ["--prev", str(workdir / "prev.pgm"), "--curr", str(workdir / "curr.pgm")]
-    files = {"tactile render": ["--out", str(workdir / "f.pgm")],
-             "spring fit": ["--in", str(workdir / "c.csv")],
-             "grasp simulate": ["--scenario", str(workdir / "s.json")],
-             "report": ["--curve", str(workdir / "c.csv"), "--out-dir", str(workdir / "report")],
-             "tactile detect": ["--in", str(workdir / "prev.pgm")],
-             "tactile track": frame_pair, "tactile summarize": frame_pair}
-    return [*argv, *files.get(command, [])]
-
-
-@pytest.mark.parametrize("command", sorted(FLAG_FUZZ))
+@pytest.mark.parametrize("command", sorted(command for command, flags in TYPED.items() if flags))
 def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
-    _, _, kinds, regressions = FLAG_FUZZ[command]
-    (tmp_path / "c.csv").write_bytes(VALID_FILES["csv"])
-    (tmp_path / "s.json").write_bytes(VALID_FILES["scenario"])
-    (tmp_path / "prev.pgm").write_bytes(VALID_FILES["pgm"])  # a 2x4 bar, moved one column on
-    (tmp_path / "curr.pgm").write_bytes(b"P5\n6 4\n255\n" + bytes([0, 0, 0, 255, 255, 0] * 4))
-    flag_values = st.sampled_from(sorted(kinds)).flatmap(
-        lambda flag: st.tuples(st.just(flag), FUZZ_VALUES[kinds[flag]]))
+    """Each typed flag of the parser, one at a time, added to criterion 7's invocation."""
+    base = _base_argv(tmp_path)[command]
+    assert _main_in_child(base)[::2] == (0, "")  # a cap that starves every child fails here
+    flags = TYPED[command]
+    flag_values = st.one_of([st.tuples(st.just(flag), FUZZ_VALUES[action.type])  # or KeyError
+                             for flag, action in sorted(flags.items())])
 
     @settings(max_examples=8, derandomize=True, database=None, deadline=None)
     @given(flag_value=flag_values)
     def check(flag_value):
-        argv = flag_argv(command, *flag_value, tmp_path)
-        child = subprocess.run([sys.executable, "-m", "twistgrip.cli", *argv], env=CHILD_ENV,
-                               capture_output=True, text=True, timeout=60,
-                               preexec_fn=_cap_address_space)
-        assert child.returncode in (0, 2), (argv, child.stderr)
-        if child.returncode == 2:
-            assert child.stderr.startswith("error: "), (argv, child.stderr)
+        flag, value = flag_value
+        nargs = flags[flag].nargs  # n values go spaced, where argparse reads "-1e-9" as a flag
+        args = ([flag, repr(abs(value)), *["0"] * (nargs - 1)] if isinstance(nargs, int)
+                else [f"{flag}={value!r}"])
+        argv = _override(command, base, args)
+        code, out, err = _main_in_child(argv)
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert err.startswith("error: ") and "Warning" not in err, (argv, err)
         elif "--json" in argv:
-            json.loads(child.stdout, parse_constant=_reject_constant)
+            json.loads(out, parse_constant=_reject_constant)
 
-    for flag_value in regressions:
-        check = example(flag_value=flag_value)(check)
+    for flag_value in [*REGRESSIONS.get(command, []), *((flag, -1) for flag in sorted(flags))]:
+        check = example(flag_value=flag_value)(check)  # tried before the draws
     check()

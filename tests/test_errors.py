@@ -2,6 +2,7 @@
 import enum
 import math
 import numbers
+import os
 import re
 import struct
 from decimal import Decimal
@@ -82,7 +83,7 @@ BOUNDARIES = {
     **{f"GripperGeometry.{name}": (
         name, lambda x, name=name: grasp.GripperGeometry(
             **{"aperture_diameter": 0.1, name: x}))
-       for name in ("aperture_diameter", "full_close_angle", "rotation_speed")},
+       for name in ("aperture_diameter", "full_close_angle")},
     **{f"ObjectDescriptor.{name}": (
         name, lambda x, name=name: grasp.ObjectDescriptor(
             grasp.ShapeClass.SPHERE, **{"height": 0.05, "diameter": 0.05, "mass": 0.1, name: x}))
@@ -421,15 +422,40 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
         prev_index=[], curr_index=[], shifts=[], lost=[None], appeared=[])),
     ("appeared", lambda: tactile.DisplacementField(
         prev_index=[], curr_index=[], shifts=[], lost=[], appeared=[[0], [0, 1]])),
+    ("areas", lambda: tactile.MarkerSet(xy=[], areas=5, merged=[])),
+    ("merged", lambda: tactile.MarkerSet(xy=[], areas=[], merged=False)),
+    ("lost", lambda: tactile.DisplacementField(
+        prev_index=[], curr_index=[], shifts=[], lost=7, appeared=[])),
+    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[[1, 2]], merged=[False])),
+    ("prev_index", lambda: tactile.DisplacementField(
+        prev_index=[[0]], curr_index=[0], shifts=[(0.0, 0.0)], lost=[], appeared=[])),
 ], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
         "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections",
         "xy-none", "xy-odd-size", "areas-string", "areas-nan", "areas-past-int64",
         "areas-float-array-nan", "areas-float-array-fraction", "areas-float-array-past-int64",
         "merged-string", "merged-fraction", "prev-index-float-array-inf",
-        "prev-index-string", "shifts-none", "lost-none", "appeared-ragged"])
+        "prev-index-string", "shifts-none", "lost-none", "appeared-ragged", "areas-scalar",
+        "merged-scalar", "lost-scalar", "areas-2d", "prev-index-2d"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda fd: expio.read_payload_csv(fd),
+    lambda fd: expio.write_payload_csv(spring.PayloadCurve(strains=(0.0,), loads=(0.0,)), fd),
+    lambda fd: expio.emit_plot([([0.0], [0.0], "a")], fd, title="t", x_label="x", y_label="y"),
+    lambda fd: expio.write_json({"a": 1}, fd),
+    lambda fd: tactile.read_pgm(fd),
+    lambda fd: tactile.write_pgm(FRAME, fd),
+], ids=["read_payload_csv", "write_payload_csv", "emit_plot", "write_json", "read_pgm",
+        "write_pgm"])
+def test_file_descriptor_path_rejected_and_left_open(call, tmp_path):
+    """An int is no path: open() would use it as a descriptor and close it (fd 1 is stdout)."""
+    with open(tmp_path / "f", "w+b") as fh:
+        with pytest.raises(TypeError):
+            call(fh.fileno())
+        os.fstat(fh.fileno())  # raises if the call closed it
 
 
 def test_overflowing_marker_scale_rejected():
@@ -439,7 +465,7 @@ def test_overflowing_marker_scale_rejected():
 
 
 def test_underflowing_phase_step_rejected():
-    tiny = grasp.GripperGeometry(0.1, full_close_angle=5e-324, rotation_speed=1e-10)
+    tiny = grasp.GripperGeometry(0.1, full_close_angle=5e-324)
     with pytest.raises(DomainError, match="step_angle"):
         grasp.simulate_phases(tiny)
 
@@ -469,8 +495,7 @@ OVERFLOWS = {
        for kind, payload in (("float", 0.25), ("float64", np.float64(0.25)))},
     "simulate_phases.full_close_angle": (
         "full_close_angle", lambda: grasp.simulate_phases(
-            grasp.GripperGeometry(0.1, full_close_angle=1.7976931348623157e308,
-                                  rotation_speed=1.5))),
+            grasp.GripperGeometry(0.1, full_close_angle=1.7e308))),  # 16 steps sum short of it
 }
 
 

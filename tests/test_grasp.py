@@ -45,7 +45,7 @@ class TestGripperGeometry:
 
 
 TRACE_GRIPPERS = [GripperGeometry.from_name(name) for name in ("2in", "4in", "8in")] + [
-    GripperGeometry(aperture_diameter=0.2, full_close_angle=3.7, rotation_speed=0.37)]
+    GripperGeometry(aperture_diameter=0.2, full_close_angle=3.7)]
 
 
 @pytest.mark.parametrize("geom", TRACE_GRIPPERS, ids=["2in", "4in", "8in", "custom"])
