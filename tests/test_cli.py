@@ -432,7 +432,7 @@ def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, comman
     code, out, err = run(capsys, _override(command, _base_argv(tmp_path)[command], args))
     assert code == 2
     assert out == ""
-    assert f"error: {field} must" in err
+    assert err.startswith(f"error: {field} must")
     assert not (tmp_path / "report").exists()  # report writes nothing before every section holds
 
 
@@ -793,10 +793,6 @@ TYPED = {command: {a.option_strings[0]: a for a in parser._actions if a.type is 
          for command, parser in COMMANDS.items()}
 
 
-def _reject_constant(token):
-    raise AssertionError(f"stdout holds the non-JSON number {token}")
-
-
 @pytest.mark.parametrize("command", sorted(command for command, flags in TYPED.items() if flags))
 def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
     """Each typed flag of the parser, one at a time, added to criterion 7's invocation."""
@@ -819,7 +815,7 @@ def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
         if code == 2:
             assert err.startswith("error: ") and "Warning" not in err, (argv, err)
         elif "--json" in argv:
-            json.loads(out, parse_constant=_reject_constant)
+            json.loads(out, parse_constant=lambda token: pytest.fail(f"stdout holds {token}"))
 
     for flag_value in [*REGRESSIONS.get(command, []), *((flag, -1) for flag in sorted(flags))]:
         check = example(flag_value=flag_value)(check)  # tried before the draws
