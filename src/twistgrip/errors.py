@@ -1,6 +1,7 @@
 """Exception types and the input checks shared across the package."""
 import math
 import numbers
+import os
 
 _LEAST_POSITIVE, _LARGEST = math.nextafter(0, 1), math.nextafter(math.inf, 0)  # finite floats > 0
 
@@ -68,6 +69,17 @@ def require_integer(at_least, /, **values):
     for name, value in values.items():
         if not (is_integer(value) and within(at_least, math.inf, value)):
             raise DomainError(f"{name} must be an integer >= {at_least}, got {value!r}")
+
+
+def require_path(path):
+    """os.fspath(path) for a str, bytes or os.PathLike; anything else raises ValidationError.
+
+    An int in particular is no path: open() would take it as a file descriptor and close it.
+    """
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise ValidationError(f"path must be a str, bytes or os.PathLike, got {path!r}") from None
 
 
 def require_key(doc, *keys):

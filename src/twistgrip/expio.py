@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import functools
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 
-from .errors import DomainError, ParseError, ValidationError, require_non_negative, require_positive
+from .errors import (DomainError, ParseError, ValidationError, require_non_negative, require_path,
+                     require_positive)
 from .pressure import G_DEFAULT
-from .spring import PayloadCurve
+from .spring import PayloadCurve, _sample_array
 
 DATASET_IDS = ("table1_payload", "table2_objects", "table3_submersion")
 
@@ -65,26 +67,15 @@ def read_payload_csv(path, skin_height=None):
     """
     # undecodable bytes survive as escapes, so they fail the header or number parse below;
     # text mode has already turned \r\n and \r into \n
-    with open(os.fspath(path), "r", encoding="utf-8", errors="surrogateescape") as fh:
-        lines = fh.read().split("\n")
-    rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
-            if line and not line.startswith("#")]
+    with open(require_path(path), "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = list(map(str.strip, fh.read().split("\n")))
+    rows = [line for line in lines if line and line[0] != "#"]
     if not rows:
         raise ParseError(f"{path}: missing header {CSV_HEADER!r}")
-    lineno, line = rows[0]
-    if line != CSV_HEADER:
-        raise ParseError(f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
-    strains, loads = [], []
-    for lineno, line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            strains.append(float(parts[0]))
-            loads.append(float(parts[1]))
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-
+    values = _csv_numbers(rows[1:]) if rows[0] == CSV_HEADER else None
+    if values is None:  # walk the lines again to name the first bad one
+        _raise_first_csv_error(path, lines)
+    strains, loads = values[0::2], values[1::2]
     try:
         if skin_height is not None:
             return PayloadCurve.from_absolute(strains, loads, skin_height)
@@ -93,10 +84,39 @@ def read_payload_csv(path, skin_height=None):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _csv_numbers(body):
+    """The body rows' numbers in file order, or None unless each row is two numbers."""
+    if not body:
+        return []
+    if set(map(str.count, body, repeat(","))) != {1}:
+        return None
+    try:  # one split and one parse for the whole body
+        return list(map(float, ",".join(body).split(",")))
+    except ValueError:
+        return None
+
+
+def _raise_first_csv_error(path, lines):
+    """Raise the ParseError naming the first line of a payload CSV that fails."""
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+            if line and line[0] != "#"]
+    lineno, line = rows[0]
+    if line != CSV_HEADER:
+        raise ParseError(f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
+    for lineno, line in rows[1:]:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
+
+
 def write_payload_csv(curve, path):
     """Write a payload curve in the canonical CSV format (round-trip exact)."""
     rows = "".join([f"{strain!r},{load!r}\n" for strain, load in zip(curve.strains, curve.loads)])
-    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
+    with open(require_path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n" + rows)
 
 
@@ -124,18 +144,25 @@ _SERIES_COLORS = ("#1f6fb4", "#d1495b", "#3a7d44", "#8d6a9f", "#c98a1b", "#4a4a4
 def emit_plot(series, path, *, title, x_label, y_label):
     """Write a deterministic SVG line plot.
 
-    series is a list of (xs, ys, label). The output depends only on the
-    inputs (fixed canvas, fixed float formatting), so identical calls produce
-    byte-identical files.
+    series is a list of (xs, ys, label); each xs and ys is a sequence of finite
+    numbers, the two of equal length. NaN or inf samples, unequal lengths and a
+    range whose span overflows raise ValidationError naming xs or ys. The output
+    depends only on the inputs (fixed canvas, fixed float formatting), so
+    identical calls produce byte-identical files.
     """
+    import numpy as np
     if not series:
         raise DomainError("emit_plot requires at least one series")
-    all_x = [x for xs, _, _ in series for x in xs]
-    all_y = [y for _, ys, _ in series for y in ys]
-    if not all_x:
+    arrays = [(_plot_samples("xs", xs), _plot_samples("ys", ys), label)
+              for xs, ys, label in series]
+    for xs, ys, _ in arrays:
+        if len(ys) != len(xs):
+            raise ValidationError(f"ys must have as many samples as xs, got {len(ys)} and {len(xs)}")
+    all_x = np.concatenate([xs for xs, _, _ in arrays])
+    if not all_x.size:
         raise DomainError("series must contain at least one point")
-    x_min, x_max = min(all_x), max(all_x)
-    y_min, y_max = min(all_y), max(all_y)
+    x_min, x_max = _bounds("xs", all_x)
+    y_min, y_max = _bounds("ys", np.concatenate([ys for _, ys, _ in arrays]))
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
     inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
@@ -156,13 +183,13 @@ def emit_plot(series, path, *, title, x_label, y_label):
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {_SVG_HEIGHT // 2})">{y_label}</text>',
     ]
-    for i, (xs, ys, label) in enumerate(series):
+    for i, (xs, ys, label) in enumerate(arrays):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        # pixel x, y of each zipped pair, flat; one % formats them all, as f"{v:.3f}" does floats
-        coords = [v for x, y in zip(xs, ys)
-                  for v in (_SVG_MARGIN + (x - x_min) / x_span * inner_w,
-                            _SVG_HEIGHT - _SVG_MARGIN - (y - y_min) / y_span * inner_h)]
-        points = " ".join(["%.3f,%.3f"] * (len(coords) // 2)) % tuple(coords)
+        # pixel x, y of each pair, interleaved; one % formats them all, as f"{v:.3f}" does floats
+        coords = np.empty(2 * len(xs))
+        coords[0::2] = _SVG_MARGIN + (xs - x_min) / x_span * inner_w
+        coords[1::2] = _SVG_HEIGHT - _SVG_MARGIN - (ys - y_min) / y_span * inner_h
+        points = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(coords.tolist())
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = _SVG_MARGIN + 16 * (i + 1)
         lines.append(
@@ -174,15 +201,34 @@ def emit_plot(series, path, *, title, x_label, y_label):
             f'font-family="sans-serif" font-size="12">{label}</text>'
         )
     lines.append("</svg>")
-    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
+    with open(require_path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _plot_samples(name, values):
+    """values as a 1-D float array; ValidationError naming name unless they are finite numbers."""
+    import numpy as np
+    samples = _sample_array(name, values)
+    if samples.ndim != 1:
+        raise ValidationError(f"{name} must be a 1-D sequence of numbers")
+    if not np.isfinite(samples).all():
+        raise ValidationError(f"{name} must be finite, got NaN or inf")
+    return samples
+
+
+def _bounds(name, samples):
+    """Smallest and largest sample as floats; ValidationError if their difference overflows."""
+    low, high = float(samples.min()), float(samples.max())
+    if high - low == math.inf:
+        raise ValidationError(f"{name} must span a finite range, got {low!r} to {high!r}")
+    return low, high
 
 
 def write_json(doc, path):
     """Write doc as key-sorted JSON indented by 2, with a final newline; NaN and inf raise."""
-    with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"  # raises before open
+    with open(require_path(path), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_report_json(report, path):

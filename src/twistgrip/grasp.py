@@ -137,8 +137,9 @@ def simulate_phases(geom):
     trace = [(phase.value, angle, geom.coverage(angle))]
     while phase is not Phase.HOLDING:
         angle += step
-        phase = Phase.HOLDING if geom.coverage(angle) >= 1.0 else Phase.LIFTING
-        trace.append((phase.value, angle, geom.coverage(angle)))
+        coverage = geom.coverage(angle)
+        phase = Phase.HOLDING if coverage >= 1.0 else Phase.LIFTING
+        trace.append((phase.value, angle, coverage))
     if angle == math.inf:  # the last step overshot the largest float
         raise DomainError(f"full_close_angle must leave room for one more step, "
                           f"got {geom.full_close_angle!r}")

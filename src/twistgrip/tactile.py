@@ -10,7 +10,6 @@ the renderer's ground truth doubles as a test oracle.
 from __future__ import annotations
 
 import math
-import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -21,7 +20,7 @@ from types import MappingProxyType, SimpleNamespace
 import numpy as np
 
 from .errors import (DomainError, ParseError, ValidationError, is_integer, real, require_integer,
-                     require_key, require_non_negative, require_positive, within)
+                     require_key, require_non_negative, require_path, require_positive, within)
 
 MARKER_DIAMETER_DEFAULT = 0.002  # m
 GRID_MARGIN = 0.1  # unit-square border left free by MarkerLayout.grid
@@ -637,7 +636,7 @@ def default_gate(layout, camera):
 def write_pgm(frame, path):
     """Write a binary portable graymap (P5, maxval 255)."""
     header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    with open(os.fspath(path), "wb") as fh:
+    with open(require_path(path), "wb") as fh:
         fh.write(header)
         fh.write(frame.pixels.tobytes())
 
@@ -648,7 +647,7 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d{1,9})" * 3 + rb"
 
 def read_pgm(path):
     """Read a binary graymap written by write_pgm; a malformed file raises ParseError naming it."""
-    with open(os.fspath(path), "rb") as fh:
+    with open(require_path(path), "rb") as fh:
         data = fh.read()
     header = _PGM_HEADER.match(data)
     if header is None:

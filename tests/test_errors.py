@@ -391,6 +391,11 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
         tactile.TactileFrame(pixels=[[0, value]])
 
 
+def _plot(*series):
+    expio.emit_plot([(xs, ys, "s") for xs, ys in series], os.devnull,
+                    title="t", x_label="x", y_label="y")
+
+
 @pytest.mark.parametrize("field, call", [
     ("pixels", lambda: tactile.TactileFrame(pixels=[[0], [0, 1]])),
     ("markers", lambda: tactile.MarkerLayout(markers=(5,))),
@@ -429,33 +434,53 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
     ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[[1, 2]], merged=[False])),
     ("prev_index", lambda: tactile.DisplacementField(
         prev_index=[[0]], curr_index=[0], shifts=[(0.0, 0.0)], lost=[], appeared=[])),
+    ("xs", lambda: _plot(([0.0, math.nan], [0.0, 1.0]))),
+    ("ys", lambda: _plot(([0.0, 1.0], [0.0, math.inf]))),
+    ("ys", lambda: _plot(([0.0, 1.0, 2.0], [0.0, 1.0]))),
+    ("ys", lambda: _plot(([0.0], []))),
+    ("ys", lambda: _plot(([0.0, 1.0], [0.0, 1.0]), ([], [2.0]))),
+    ("xs", lambda: _plot(([-1e308, 1e308], [0.0, 1.0]))),
+    ("ys", lambda: _plot(([0.0], [-1e308]), ([1.0], [1e308]))),
+    ("xs", lambda: _plot(([[0.0, 1.0]], [0.0]))),
 ], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
         "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections",
         "xy-none", "xy-odd-size", "areas-string", "areas-nan", "areas-past-int64",
         "areas-float-array-nan", "areas-float-array-fraction", "areas-float-array-past-int64",
         "merged-string", "merged-fraction", "prev-index-float-array-inf",
         "prev-index-string", "shifts-none", "lost-none", "appeared-ragged", "areas-scalar",
-        "merged-scalar", "lost-scalar", "areas-2d", "prev-index-2d"])
+        "merged-scalar", "lost-scalar", "areas-2d", "prev-index-2d", "plot-nan-x", "plot-inf-y",
+        "plot-unequal-lengths", "plot-x-without-y", "plot-y-without-x", "plot-x-span-overflows",
+        "plot-y-span-across-series-overflows", "plot-2d-x"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda fd: expio.read_payload_csv(fd),
-    lambda fd: expio.write_payload_csv(spring.PayloadCurve(strains=(0.0,), loads=(0.0,)), fd),
-    lambda fd: expio.emit_plot([([0.0], [0.0], "a")], fd, title="t", x_label="x", y_label="y"),
-    lambda fd: expio.write_json({"a": 1}, fd),
-    lambda fd: tactile.read_pgm(fd),
-    lambda fd: tactile.write_pgm(FRAME, fd),
+PATH_CALLS = pytest.mark.parametrize("call", [
+    lambda path: expio.read_payload_csv(path),
+    lambda path: expio.write_payload_csv(spring.PayloadCurve(strains=(0.0,), loads=(0.0,)), path),
+    lambda path: expio.emit_plot([([0.0], [0.0], "a")], path, title="t", x_label="x", y_label="y"),
+    lambda path: expio.write_json({"a": 1}, path),
+    lambda path: tactile.read_pgm(path),
+    lambda path: tactile.write_pgm(FRAME, path),
 ], ids=["read_payload_csv", "write_payload_csv", "emit_plot", "write_json", "read_pgm",
         "write_pgm"])
+
+
+@PATH_CALLS
 def test_file_descriptor_path_rejected_and_left_open(call, tmp_path):
     """An int is no path: open() would use it as a descriptor and close it (fd 1 is stdout)."""
     with open(tmp_path / "f", "w+b") as fh:
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="^path must"):
             call(fh.fileno())
         os.fstat(fh.fileno())  # raises if the call closed it
+
+
+@PATH_CALLS
+@pytest.mark.parametrize("path", [None, [], ["f.csv"], 1.5, True], ids=repr)
+def test_non_path_rejected_naming_it(call, path):
+    with pytest.raises(ValidationError, match="^path must"):
+        call(path)
 
 
 def test_overflowing_marker_scale_rejected():

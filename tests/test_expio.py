@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -210,8 +211,10 @@ class TestReport:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_value_is_not_written(self, tmp_path, value):
+        path = tmp_path / "doc.json"
         with pytest.raises(ValueError, match="JSON compliant"):
-            expio.write_json({"value": value}, tmp_path / "doc.json")
+            expio.write_json({"a": 1, "b": [1.0, value]}, path)
+        assert not path.exists()  # no truncated file left behind
 
 
 # The parent's payload CSV and plot writers and reader, kept verbatim (names qualified) as the
@@ -334,18 +337,50 @@ SAMPLES = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats().map(n
                     st.integers(-10**6, 10**6), st.integers(-2**70, 2**70))
 
 
+# a series as (xs, ys) of equal length
+PAIRED = st.lists(st.tuples(SAMPLES, SAMPLES), max_size=12).map(
+    lambda pairs: ([x for x, _ in pairs], [y for _, y in pairs]))
+
+
+def _plot_rejection(series):
+    """The start of emit_plot's error for series of floats, or None where it plots them."""
+    for xs, ys, _ in series:
+        for name, values in (("xs", xs), ("ys", ys)):
+            if not all(map(math.isfinite, values)):
+                return f"{name} must be finite"
+    if any(len(xs) != len(ys) for xs, ys, _ in series):
+        return "ys must have as many samples as xs"
+    all_x = [x for xs, _, _ in series for x in xs]
+    all_y = [y for _, ys, _ in series for y in ys]
+    if not all_x:
+        return "series must contain at least one point"
+    for name, values in (("xs", all_x), ("ys", all_y)):
+        if max(values) - min(values) == math.inf:
+            return f"{name} must span a finite range"
+    return None
+
+
 class TestMatchesReference:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(series=st.lists(st.tuples(st.lists(SAMPLES, max_size=12),
-                                     st.lists(SAMPLES, max_size=12)), min_size=1, max_size=7))
-    def test_plot_is_byte_identical(self, series):
+    @given(series=st.lists(PAIRED, min_size=1, max_size=7), ragged=st.booleans())
+    def test_plot_is_byte_identical(self, series, ragged):
+        if ragged:  # the last series loses its last y
+            series[-1] = (series[-1][0], series[-1][1][:-1])
         series = [(xs, ys, f"s{i}") for i, (xs, ys) in enumerate(series)]
+        # the reference sees each sample as the float it is plotted at (ints past 2**53 round)
+        as_floats = [([float(x) for x in xs], [float(y) for y in ys], label)
+                     for xs, ys, label in series]
+        rejection = _plot_rejection(as_floats)
         with tempfile.TemporaryDirectory() as tmp:
             new, ref = Path(tmp, "new.svg"), Path(tmp, "ref.svg")
-            with np.errstate(all="ignore"):  # numpy scalars meet inf - inf as the floats do
-                outcome = _outcome(expio.emit_plot, series, new, **LABELS)
-                assert outcome == _outcome(_emit_plot_reference, series, ref, **LABELS)
-            assert outcome is not None or new.read_bytes() == ref.read_bytes()
+            outcome = _outcome(expio.emit_plot, series, new, **LABELS)
+            if rejection is None:
+                _emit_plot_reference(as_floats, ref, **LABELS)
+                assert outcome is None and new.read_bytes() == ref.read_bytes()
+            else:
+                error = DomainError if rejection.startswith("series") else ValidationError
+                assert outcome[0] is error and outcome[1].startswith(rejection)
+                assert not new.exists()
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(strains=st.lists(SAMPLES, max_size=30), loads=st.lists(SAMPLES, max_size=30))
@@ -380,8 +415,18 @@ class TestMatchesReference:
         b"strain,force_n\n0,0\n0.5,4\xff0\n",
         b"strain,force_n\n\x0c0,0\n0.5,\x0c40\x0c\n",
         b"strain,force_n\n0,0\xc2\x850.5,40\n",
+        b"strain,force_n\n0,0,1\n0.5\n",
+        b"strain,force_n\n",
+        b"# export\nstrain,force_n\n\n",
+        b"strain,force_n\n0,0\n0.5,x\n1,2,3\n",
+        b"strain,force_n\n0,0\n1,2,3\n0.5,x\n",
+        b"strain,force_n\n0,0\n# mid\n\n0.5,4O\n",
+        b"strain,force_n\n0,0\n0.5,40\nstrain,force_n\n",
     ], ids=["crlf", "bare-cr", "no-final-newline", "blank-and-comment-lines", "ragged-row",
-            "bad-header", "no-header", "undecodable-byte", "form-feed", "next-line-char"])
+            "bad-header", "no-header", "undecodable-byte", "form-feed", "next-line-char",
+            "balanced-ragged-rows", "header-only", "header-and-comment-only",
+            "bad-number-before-ragged-row", "ragged-row-before-bad-number",
+            "bad-number-after-comment", "header-repeated"])
     def test_csv_edge_file_read_as_before(self, tmp_path, content):
         path = tmp_path / "curve.csv"
         path.write_bytes(content)
