@@ -75,11 +75,15 @@ def require_path(path):
     """os.fspath(path) for a str, bytes or os.PathLike; anything else raises ValidationError.
 
     An int in particular is no path: open() would take it as a file descriptor and close it.
+    A path holding a NUL character is rejected too, where open() would raise ValueError.
     """
     try:
-        return os.fspath(path)
+        path = os.fspath(path)
     except TypeError:
         raise ValidationError(f"path must be a str, bytes or os.PathLike, got {path!r}") from None
+    if ("\0" if isinstance(path, str) else b"\0") in path:
+        raise ValidationError(f"path must not hold a NUL character, got {path!r}")
+    return path
 
 
 def require_key(doc, *keys):

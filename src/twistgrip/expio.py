@@ -146,7 +146,8 @@ def emit_plot(series, path, *, title, x_label, y_label):
 
     series is a list of (xs, ys, label); each xs and ys is a sequence of finite
     numbers, the two of equal length. NaN or inf samples, unequal lengths and a
-    range whose span overflows raise ValidationError naming xs or ys. The output
+    range whose span overflows raise ValidationError naming xs or ys. The title,
+    axis and series labels are written with &, < and > escaped. The output
     depends only on the inputs (fixed canvas, fixed float formatting), so
     identical calls produce byte-identical files.
     """
@@ -176,12 +177,12 @@ def emit_plot(series, path, *, title, x_label, y_label):
         f'<line x1="{_SVG_MARGIN}" y1="{_SVG_MARGIN}" '
         f'x2="{_SVG_MARGIN}" y2="{_SVG_HEIGHT - _SVG_MARGIN}" stroke="black"/>',
         f'<text x="{_SVG_WIDTH // 2}" y="30" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_xml_text(title)}</text>',
         f'<text x="{_SVG_WIDTH // 2}" y="{_SVG_HEIGHT - 15}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>',
+        f'font-family="sans-serif" font-size="12">{_xml_text(x_label)}</text>',
         f'<text x="18" y="{_SVG_HEIGHT // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {_SVG_HEIGHT // 2})">{y_label}</text>',
+        f'transform="rotate(-90 18 {_SVG_HEIGHT // 2})">{_xml_text(y_label)}</text>',
     ]
     for i, (xs, ys, label) in enumerate(arrays):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
@@ -198,11 +199,16 @@ def emit_plot(series, path, *, title, x_label, y_label):
         )
         lines.append(
             f'<text x="{_SVG_WIDTH - _SVG_MARGIN - 94}" y="{ly}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
+            f'font-family="sans-serif" font-size="12">{_xml_text(label)}</text>'
         )
     lines.append("</svg>")
     with open(require_path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _xml_text(text):
+    """text with &, < and > escaped, for an SVG text element."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _plot_samples(name, values):

@@ -25,13 +25,9 @@ from twistgrip.spring import PayloadCurve, SkinSpec, predict_load
 
 @pytest.fixture
 def synthetic_csv(tmp_path):
-    spec = SkinSpec(100.0, 400.0, 0.4)
-    strains = np.linspace(0.0, 1.0, 50)
-    loads = [predict_load(s, spec) for s in strains]
-    curve = PayloadCurve(strains=tuple(strains), loads=tuple(loads))
-    path = tmp_path / "curve.csv"
-    expio.write_payload_csv(curve, path)
-    return path
+    """Criterion 7's payload curve: slopes 100 and 400 N per strain, breakpoint 0.4."""
+    golden.criterion7_invocations(tmp_path)  # writes its input files into tmp_path
+    return tmp_path / "curve.csv"
 
 
 def run(capsys, argv):
@@ -245,30 +241,17 @@ class TestGraspCommands:
 
 class TestTactileCommands:
     def test_render_detect_track_summarize(self, capsys, tmp_path):
-        f0 = tmp_path / "f0.pgm"
-        f1 = tmp_path / "f1.pgm"
-        code, _, _ = run(capsys, ["tactile", "render", "--grid", "5x5", "--out", str(f0),
-                                  "--sidecar", str(tmp_path / "gt0.json")])
-        assert code == 0
-        code, _, _ = run(capsys, ["tactile", "render", "--grid", "5x5", "--out", str(f1),
-                                  "--shift", "3", "-2"])
-        assert code == 0
-
-        code, out, _ = run(capsys, ["tactile", "detect", "--in", str(f0), "--json"])
-        assert code == 0
-        assert json.loads(out)["count"] == 25
-
-        code, out, _ = run(capsys, ["tactile", "track", "--prev", str(f0), "--curr", str(f1),
-                                    "--gate", "10", "--json"])
-        assert code == 0
-        doc = json.loads(out)
+        """Criterion 7's tactile invocations: a noisy 5x5 frame, then one shifted by (3, -2)."""
+        outs = {}
+        for name, _, argv, _ in golden.criterion7_invocations(tmp_path):
+            if name.startswith("tactile"):
+                code, outs[name], _ = run(capsys, [str(a) for a in argv])
+                assert code == 0, name
+        assert json.loads(outs["tactile_detect"])["count"] == 25
+        doc = json.loads(outs["tactile_track"])
         assert len(doc["matches"]) == 25
         assert doc["matches"][0]["dx"] == pytest.approx(3.0, abs=0.5)
-
-        code, out, _ = run(capsys, ["tactile", "summarize", "--prev", str(f0), "--curr", str(f1),
-                                    "--air-support", "3", "--json"])
-        assert code == 0
-        assert json.loads(out)["label"] == "contact-with-air"
+        assert json.loads(outs["tactile_summarize"])["label"] == "contact-with-air"
 
     @pytest.mark.parametrize("grid", ["5x", "x5", "5", "0x5", "5x5x5", "axb"])
     def test_render_malformed_grid_exits_2(self, capsys, tmp_path, grid):
@@ -349,14 +332,6 @@ class TestTactileCommands:
         assert err == ("error: --view-width must leave the marker radius positive and finite in "
                        "pixels; 0.05 m with 1e+306 m markers gives inf px\n")
         assert not (tmp_path / "f.pgm").exists()
-
-    def test_render_deterministic(self, capsys, tmp_path):
-        a = tmp_path / "a.pgm"
-        b = tmp_path / "b.pgm"
-        for path in (a, b):
-            run(capsys, ["tactile", "render", "--grid", "4x4", "--out", str(path),
-                         "--noise", "8", "--seed", "5"])
-        assert a.read_bytes() == b.read_bytes()
 
 
 def _commands(parser, words=()):
@@ -466,19 +441,16 @@ class TestReportCommand:
         doc = json.loads((out_dir / "report.json").read_text())
         return {s["title"]: s["metrics"] for s in doc["sections"]}
 
-    @pytest.mark.parametrize("title, names, argv", [
-        ("Two-zone spring fit", FIT_NAMES, ["spring", "fit", "--in", "{curve}"]),
-        ("Line pressure cross-check", PRESSURE_NAMES,
-         ["pressure", "--mass", "0.21", "--radius", "0.025", "--k", "0.5"]),
+    @pytest.mark.parametrize("title, names, command", [
+        ("Two-zone spring fit", FIT_NAMES, "spring fit"),
+        ("Line pressure cross-check", PRESSURE_NAMES, "pressure"),
     ])
-    def test_report_section_holds_every_json_field(self, capsys, synthetic_csv, tmp_path,
-                                                   title, names, argv):
-        argv = [arg.format(curve=synthetic_csv) for arg in argv]
-        code, out, _ = run(capsys, [*argv, "--json"])
+    def test_report_section_holds_every_json_field(self, capsys, tmp_path, title, names, command):
+        code, out, _ = run(capsys, _base_argv(tmp_path)[command])  # criterion 7's, with --json
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == set(names)
-        metrics = self._report_metrics(capsys, synthetic_csv, tmp_path / "report")[title]
+        metrics = self._report_metrics(capsys, tmp_path / "curve.csv", tmp_path / "report")[title]
         for key, value in payload.items():
             assert metrics[names[key]]["value"] == value, key
 
@@ -489,15 +461,6 @@ class TestReportCommand:
         expio.write_payload_csv(curve, path)
         metrics = self._report_metrics(capsys, path, tmp_path / "report")
         assert metrics["Two-zone spring fit"]["degenerate"] == {"value": True, "unit": ""}
-
-
-class TestDeterminism:
-    def test_repeated_invocations_identical_stdout(self, capsys, synthetic_csv):
-        outputs = []
-        for _ in range(2):
-            _, out, _ = run(capsys, ["spring", "fit", "--in", str(synthetic_csv), "--json"])
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
 
 
 def _tree(root):
@@ -612,95 +575,53 @@ def malformed(kind):
     return bytewise
 
 
-def fuzz_argv(kind, path):
-    out = path.with_suffix(".out")
-    return {
-        "csv": ["spring", "fit", "--in", str(path)],
-        "pgm": ["tactile", "detect", "--in", str(path)],
-        "scenario": ["grasp", "simulate", "--scenario", str(path), "--k", "0.5"],
-        # fixed small frame: size flags allocate without bound, so they are not fuzzed
-        "layout": ["tactile", "render", "--layout", str(path), "--out", str(out),
-                   "--width", "64", "--height", "48"],
-    }[kind]
+# file kind -> the command and the flag that reads it
+READERS = {"csv": ("spring fit", "--in"), "pgm": ("tactile detect", "--in"),
+           "scenario": ("grasp simulate", "--scenario"), "layout": ("tactile render", "--layout")}
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_FILES))
 def test_fuzz_malformed_file_exits_0_or_2(kind, tmp_path_factory):
+    """Criterion 7's invocation of the command that reads kind, on each malformed file."""
     workdir = tmp_path_factory.mktemp(f"fuzz-{kind}")
+    path = workdir / f"input.{kind}"
+    command, flag = READERS[kind]
+    argv = _override(command, _base_argv(workdir)[command], [flag, str(path)])
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(contents=malformed(kind))
     def check(contents):
-        path = workdir / f"input.{kind}"
         path.write_bytes(contents)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(fuzz_argv(kind, path))
+            code = main(argv)
         assert code in (0, 2), err.getvalue()
         assert "internal error" not in err.getvalue()
 
     check()
 
 
-# Child processes: each runs the CLI from this checkout's src/, with no user site, and
-# turns any warning into an exception, so a numpy overflow warning exits 1, not 2.
+# A child process that runs the CLI from this checkout's src/, with no user site, and turns
+# any warning into an exception, so a numpy overflow warning exits 1, not 2. It runs main(argv),
+# then prints the twistgrip modules loaded by then as stderr's last line.
 CHILD_ENV = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONNOUSERSITE": "1",
              "PYTHONPATH": str(Path(twistgrip.__file__).resolve().parents[1]),
              "PYTHONWARNINGS": "error"}
-
-
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, twistgrip.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    child = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True,
-                           text=True, timeout=60)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
-
-
-# Runs main(argv) in a fresh interpreter, then reports which numpy and twistgrip modules
-# were loaded by then on stderr's last line.
 LOADED_AT_EXIT = """import json, sys
 from twistgrip.cli import main
-code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "twistgrip"))),
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "twistgrip")),
       file=sys.stderr)
 sys.exit(code)
 """
 
-def _loaded_at_exit(argv):
-    child = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], env=CHILD_ENV,
-                           capture_output=True, text=True, timeout=60)
-    *err, loaded = child.stderr.splitlines()
-    return child.returncode, child.stdout, err, set(json.loads(loaded))
-
-
-@pytest.mark.parametrize("argv", [
-    [],
-    ["spring", "predict", "--slope1", "100", "--slope2", "400", "--breakpoint", "0.4",
-     "--strain", "0.5", "--json"],
-    ["grasp", "simulate", "--scenario", "{scenario}", "--k", "0.5", "--json"],
-    ["grasp", "validate", "--dataset", "table2", "--json"],
-    ["grasp", "validate", "--dataset", "table3"],
-], ids=["import-only", "spring-predict", "grasp-simulate", "grasp-validate-table2",
-        "grasp-validate-table3"])
-def test_math_only_command_runs_without_numpy(capsys, tmp_path, argv):
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(golden.SCENARIO))
-    argv = [arg.format(scenario=scenario) for arg in argv]
-    code, out, err, loaded = _loaded_at_exit(argv)
-    assert code == 0 and err == []
-    assert {m for m in loaded if m.split(".")[0] == "numpy"} == set()
-    assert "twistgrip.tactile" not in loaded
-    if argv:
-        assert (code, out) == run(capsys, argv)[:2]
-
 
 def test_tactile_command_loads_no_grasp(tmp_path):
-    frame = tmp_path / "f.pgm"
-    frame.write_bytes(VALID_FILES["pgm"])
-    code, out, _, loaded = _loaded_at_exit(["tactile", "detect", "--in", str(frame), "--json"])
-    assert code == 0 and json.loads(out)["count"] == 1
+    argv = _base_argv(tmp_path)["tactile detect"]
+    child = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], env=CHILD_ENV,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0 and json.loads(child.stdout)["count"] == 25
+    loaded = json.loads(child.stderr.splitlines()[-1])
     assert "twistgrip.tactile" in loaded and "twistgrip.grasp" not in loaded
 
 

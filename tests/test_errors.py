@@ -477,7 +477,7 @@ def test_file_descriptor_path_rejected_and_left_open(call, tmp_path):
 
 
 @PATH_CALLS
-@pytest.mark.parametrize("path", [None, [], ["f.csv"], 1.5, True], ids=repr)
+@pytest.mark.parametrize("path", [None, [], ["f.csv"], 1.5, True, "a\0b", b"a\0b"], ids=repr)
 def test_non_path_rejected_naming_it(call, path):
     with pytest.raises(ValidationError, match="^path must"):
         call(path)

@@ -4,6 +4,7 @@ import math
 import tempfile
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -151,6 +152,14 @@ class TestPlots:
         content = path.read_text()
         assert content.count("<polyline") == 1
         assert "line" in content
+
+    def test_labels_are_escaped(self, tmp_path):
+        path = tmp_path / "plot.svg"
+        label = "R&D <fit>"
+        expio.emit_plot([([0.0, 1.0], [0.0, 2.0], label)], path, title=label, x_label=label,
+                        y_label=label)
+        texts = [e.text for e in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == [label] * 4
 
     def test_deterministic_output(self, tmp_path):
         series = [([0.0, 0.5, 1.0], [0.0, 30.0, 100.0], "measured"),
