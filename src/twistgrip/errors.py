@@ -2,6 +2,7 @@
 import math
 import numbers
 import os
+from itertools import chain
 
 _LEAST_POSITIVE, _LARGEST = math.nextafter(0, 1), math.nextafter(math.inf, 0)  # finite floats > 0
 
@@ -35,6 +36,45 @@ def real(value):
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def array(name, values, dtype, shape=(None,)):
+    """values as a numpy array of dtype and shape (a length per axis, None for any), by real's rule.
+
+    An array of dtype is kept as it is. A bool, at any depth, is no number and a number no bool;
+    an object such as a Fraction or an int past 64 bits goes through real; a cast into an integer
+    dtype keeps every value; a float is finite; [] has no rows. Else ValidationError names name.
+    """
+    import numpy as np
+    dtype = np.dtype(dtype)
+    try:
+        given = np.asarray(values)
+        if given.shape == (0,):
+            return np.empty([n or 0 for n in shape], dtype)
+        if given.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, given.shape)):
+            raise ValueError
+        if given.dtype.kind == "O" and dtype.kind != "b":  # Fractions, huge ints: one by one
+            floats = np.fromiter(map(real, given.ravel()), float, given.size).reshape(given.shape)
+            given = floats if dtype.kind == "f" else given  # an integer cast reads each exactly
+        elif given.dtype.kind not in "biuf" or (given.dtype.kind == "b") != (dtype.kind == "b"):
+            raise TypeError
+        elif given is not values and dtype.kind != "b":  # numpy reads a nested bool as 0 or 1
+            leaves = values
+            for _ in range(given.ndim - 1):
+                leaves = chain.from_iterable(leaves)
+            if not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+                raise TypeError
+        with np.errstate(invalid="ignore"):  # NaN or out of range: unequal below
+            result = given.astype(dtype, copy=False)
+        if not (np.isfinite(result).all() if dtype.kind == "f" else
+                result is given or np.array_equal(result, given)):
+            raise ValueError
+        return result
+    except (TypeError, ValueError, OverflowError):  # ragged, no number, or not kept
+        kind = ("bools" if dtype.kind == "b" else "finite numbers" if dtype.kind == "f" else
+                f"integers in [{np.iinfo(dtype).min}, {np.iinfo(dtype).max}]")
+        columns = f" in {shape[-1]} columns" if shape[-1] else ""
+        raise ValidationError(f"{name} must be a {len(shape)}-D array of {kind}{columns}") from None
 
 
 def within(lo, hi, value):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 
-from .errors import (DomainError, ParseError, ValidationError, require_non_negative, require_path,
-                     require_positive)
+from .errors import (DomainError, ParseError, ValidationError, array, require_non_negative,
+                     require_path, require_positive)
 from .pressure import G_DEFAULT
-from .spring import PayloadCurve, _sample_array
+from .spring import PayloadCurve
 
 DATASET_IDS = ("table1_payload", "table2_objects", "table3_submersion")
 
@@ -79,7 +79,7 @@ def read_payload_csv(path, skin_height=None):
     try:
         if skin_height is not None:
             return PayloadCurve.from_absolute(strains, loads, skin_height)
-        return PayloadCurve(strains=tuple(strains), loads=tuple(loads))
+        return PayloadCurve(strains=strains, loads=loads)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -154,8 +154,7 @@ def emit_plot(series, path, *, title, x_label, y_label):
     import numpy as np
     if not series:
         raise DomainError("emit_plot requires at least one series")
-    arrays = [(_plot_samples("xs", xs), _plot_samples("ys", ys), label)
-              for xs, ys, label in series]
+    arrays = [(array("xs", xs, float), array("ys", ys, float), label) for xs, ys, label in series]
     for xs, ys, _ in arrays:
         if len(ys) != len(xs):
             raise ValidationError(f"ys must have as many samples as xs, got {len(ys)} and {len(xs)}")
@@ -209,17 +208,6 @@ def emit_plot(series, path, *, title, x_label, y_label):
 def _xml_text(text):
     """text with &, < and > escaped, for an SVG text element."""
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _plot_samples(name, values):
-    """values as a 1-D float array; ValidationError naming name unless they are finite numbers."""
-    import numpy as np
-    samples = _sample_array(name, values)
-    if samples.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-D sequence of numbers")
-    if not np.isfinite(samples).all():
-        raise ValidationError(f"{name} must be finite, got NaN or inf")
-    return samples
 
 
 def _bounds(name, samples):

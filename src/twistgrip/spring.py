@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import (DomainError, FitError, ValidationError, real, require_non_negative,
+from .errors import (DomainError, FitError, ValidationError, array, real, require_non_negative,
                      require_positive, within)
 from .pressure import G_DEFAULT
 
@@ -46,21 +46,6 @@ class SkinSpec:
         return cls(slope1, slope2, breakpoint)
 
 
-def _sample_array(name, values):
-    """values as a float array; ValidationError naming name unless they are numbers (see real)."""
-    import numpy as np
-    try:
-        array = np.asarray(values)
-        if array.dtype.kind in "iuf":
-            # numpy reads a bool among numbers as 0.0 or 1.0; an array of numbers holds none
-            if array is not values and not {bool, np.bool_}.isdisjoint(map(type, values)):
-                raise TypeError("a bool is no sample")
-            return array.astype(float, copy=False)
-        return np.fromiter(map(real, array), float)  # objects such as Fractions, one by one
-    except (TypeError, ValueError):  # ragged, or no number
-        raise ValidationError(f"{name} must be a sequence of numbers") from None
-
-
 @dataclass(frozen=True)
 class PayloadCurve:
     """Ordered (strain, load) samples; strain normalized by skin height."""
@@ -69,17 +54,14 @@ class PayloadCurve:
     loads: tuple
 
     def __post_init__(self):
-        import numpy as np
-        strains, loads = _sample_array("strains", self.strains), _sample_array("loads", self.loads)
-        if strains.shape != loads.shape or strains.ndim != 1:
+        strains, loads = array("strains", self.strains, float), array("loads", self.loads, float)
+        if len(strains) != len(loads):
             raise ValidationError("strains and loads must be 1-D and equal length")
-        if not (np.isfinite(strains).all() and np.isfinite(loads).all()):
-            raise ValidationError("payload samples must be finite")
-        if len(strains) >= 2 and not (np.diff(strains) > 0).all():
+        if not (strains[1:] > strains[:-1]).all():
             raise ValidationError("strains must be strictly increasing")
         if (loads < 0).any():
             raise ValidationError("loads must be non-negative")
-        if len(loads) >= 2 and (np.diff(loads) < 0).any():
+        if (loads[1:] < loads[:-1]).any():
             raise ValidationError("loads must be non-decreasing")
         object.__setattr__(self, "strains", tuple(strains.tolist()))
         object.__setattr__(self, "loads", tuple(loads.tolist()))
@@ -89,12 +71,11 @@ class PayloadCurve:
         """Build from absolute deflections (m) by normalizing with skin_height."""
         import numpy as np
         require_positive(skin_height=skin_height)
-        deflections = _sample_array("deflections", deflections)
         with np.errstate(over="ignore"):
-            strains = deflections / real(skin_height)
-        if not np.isfinite(strains[np.isfinite(deflections)]).all():
+            strains = array("deflections", deflections, float) / real(skin_height)
+        if not np.isfinite(strains).all():
             raise DomainError(f"skin_height must give finite strains, got {skin_height!r}")
-        return cls(strains=tuple(strains), loads=tuple(loads))
+        return cls(strains=strains, loads=loads)
 
     def __len__(self):
         return len(self.strains)

@@ -19,8 +19,9 @@ from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
-from .errors import (DomainError, ParseError, ValidationError, is_integer, real, require_integer,
-                     require_key, require_non_negative, require_path, require_positive, within)
+from .errors import (DomainError, ParseError, ValidationError, array, is_integer, real,
+                     require_integer, require_key, require_non_negative, require_path,
+                     require_positive, within)
 
 MARKER_DIAMETER_DEFAULT = 0.002  # m
 GRID_MARGIN = 0.1  # unit-square border left free by MarkerLayout.grid
@@ -145,31 +146,17 @@ class Deformation:
 
 @dataclass
 class TactileFrame:
-    """Single-channel frame; pixels is a (height, width) uint8 array.
+    """Single-channel frame; pixels is a non-empty (height, width) uint8 array.
 
-    A uint8 array is kept as given. Any other array is converted, and must
-    hold integers in [0, 255] or ValidationError names pixels.
+    A uint8 array is kept as given; anything else must hold integers in [0, 255] (errors.array).
     """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        try:
-            pixels = np.asarray(self.pixels)
-        except ValueError:  # rows of unequal length
-            raise ValidationError("pixels must be a non-empty 2-D array") from None
-        if pixels.ndim != 2 or pixels.size == 0:
+        self.pixels = array("pixels", self.pixels, np.uint8, (None, None))
+        if not self.pixels.size:
             raise ValidationError("pixels must be a non-empty 2-D array")
-        if pixels.dtype != np.uint8:
-            if pixels.dtype.kind not in "biuf":
-                raise ValidationError(f"pixels must be numbers, got dtype {pixels.dtype}")
-            values = pixels.astype(float)
-            bad = ~((values >= 0) & (values <= 255) & (values == np.rint(values)))
-            if bad.any():
-                raise ValidationError(f"pixels must be integers in [0, 255], "
-                                      f"got {values[bad][0].item()!r}")
-            pixels = pixels.astype(np.uint8)
-        self.pixels = pixels
 
     @property
     def width(self):
@@ -178,25 +165,6 @@ class TactileFrame:
     @property
     def height(self):
         return self.pixels.shape[0]
-
-
-def _set_arrays(record, **dtypes):
-    """Fields as arrays of dtype, floats in (N, 2) rows, the rest 1-D; a changing cast raises."""
-    for name, dtype in dtypes.items():
-        try:
-            array = given = np.asarray(getattr(record, name))
-            if given.dtype != dtype:  # detect_markers and track build theirs in the field's dtype
-                if given.dtype.kind not in "biuf":
-                    raise TypeError
-                with np.errstate(invalid="ignore"):  # NaN or out of range: unequal below
-                    array = given.astype(dtype)
-                if not np.array_equal(array, given, equal_nan=True):
-                    raise ValueError
-            if array.ndim != 1 and dtype is not float:
-                raise ValueError
-            object.__setattr__(record, name, array.reshape(-1, 2) if dtype is float else array)
-        except (TypeError, ValueError):  # no number, ragged, not 1-D, or changed by the cast
-            raise ValidationError(f"{name} must be an array of {np.dtype(dtype).name}") from None
 
 
 def _arrays_equal(a, b):
@@ -215,7 +183,9 @@ class MarkerSet:
     merged: np.ndarray  # (N,) bool, area above MERGED_AREA_FACTOR * expected area
 
     def __post_init__(self):
-        _set_arrays(self, xy=float, areas=np.int64, merged=bool)
+        object.__setattr__(self, "xy", array("xy", self.xy, float, (None, 2)))
+        object.__setattr__(self, "areas", array("areas", self.areas, np.int64))
+        object.__setattr__(self, "merged", array("merged", self.merged, bool))
         if not len(self.xy) == len(self.areas) == len(self.merged):
             raise ValidationError("xy, areas and merged must hold one entry per marker")
 
@@ -252,8 +222,9 @@ class DisplacementField:
     appeared: np.ndarray  # int64
 
     def __post_init__(self):
-        _set_arrays(self, prev_index=np.int64, curr_index=np.int64, lost=np.int64,
-                    appeared=np.int64, shifts=float)
+        for name in ("prev_index", "curr_index", "lost", "appeared"):
+            object.__setattr__(self, name, array(name, getattr(self, name), np.int64))
+        object.__setattr__(self, "shifts", array("shifts", self.shifts, float, (None, 2)))
         if not len(self.prev_index) == len(self.curr_index) == len(self.shifts):
             raise ValidationError("prev_index, curr_index and shifts must hold one entry per match")
 

@@ -43,14 +43,6 @@ class TestPressureCommand:
         assert "524.6" in out
         assert "relative difference" in out
 
-    def test_json_mode(self, capsys):
-        code, out, _ = run(capsys, ["pressure", "--mass", "0.21", "--radius", "0.025",
-                                    "--k", "0.5", "--json"])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["closed_form_n_per_m"] == pytest.approx(524.6, abs=0.05)
-        assert doc["relative_difference"] < 1e-6
-
     @pytest.mark.parametrize("n", [10, 1000, 100_000])
     def test_residual_comes_from_the_quadrature_grid(self, capsys, n):
         code, out, _ = run(capsys, ["pressure", "--mass", "0.21", "--radius", "0.025", "--k", "0.5",
@@ -74,8 +66,8 @@ class TestPressureCommand:
 
 
 class TestSpringCommands:
-    def test_fit_echoes_parameters(self, capsys, synthetic_csv):
-        code, out, _ = run(capsys, ["spring", "fit", "--in", str(synthetic_csv), "--json"])
+    def test_fit_echoes_parameters(self, capsys, tmp_path):
+        code, out, _ = run(capsys, _base_argv(tmp_path)["spring fit"])
         assert code == 0
         doc = json.loads(out)
         assert doc["slope1_n_per_strain"] == pytest.approx(100.0, rel=1e-6)
@@ -413,15 +405,13 @@ def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, comman
 
 
 class TestReportCommand:
-    def test_end_to_end_report(self, capsys, synthetic_csv, tmp_path):
-        out_dir = tmp_path / "report"
-        code, out, _ = run(capsys, ["report", "--curve", str(synthetic_csv),
-                                    "--out-dir", str(out_dir)])
+    def test_end_to_end_report(self, capsys, tmp_path):
+        code, out, _ = run(capsys, _base_argv(tmp_path)["report"])
         assert code == 0
-        doc = json.loads((out_dir / "report.json").read_text())
+        doc = json.loads((tmp_path / "report" / "report.json").read_text())
         titles = [s["title"] for s in doc["sections"]]
         assert "Two-zone spring fit" in titles
-        assert (out_dir / "payload_fit.svg").exists()
+        assert (tmp_path / "report" / "payload_fit.svg").exists()
 
     # --json key -> report metric name, spelled out apart from cli's field tables
     FIT_NAMES = {
@@ -435,10 +425,11 @@ class TestReportCommand:
         "equilibrium_residual_n": "equilibrium_residual", "n_intervals": "n_intervals",
     }
 
-    def _report_metrics(self, capsys, curve, out_dir):
-        code, _, _ = run(capsys, ["report", "--curve", str(curve), "--out-dir", str(out_dir)])
+    def _report_metrics(self, capsys, tmp_path, *args):
+        """{title: metrics} of criterion 7's report in tmp_path, args overriding its flags."""
+        code, _, _ = run(capsys, _override("report", _base_argv(tmp_path)["report"], [*args]))
         assert code == 0
-        doc = json.loads((out_dir / "report.json").read_text())
+        doc = json.loads((tmp_path / "report" / "report.json").read_text())
         return {s["title"]: s["metrics"] for s in doc["sections"]}
 
     @pytest.mark.parametrize("title, names, command", [
@@ -450,7 +441,7 @@ class TestReportCommand:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == set(names)
-        metrics = self._report_metrics(capsys, tmp_path / "curve.csv", tmp_path / "report")[title]
+        metrics = self._report_metrics(capsys, tmp_path)[title]
         for key, value in payload.items():
             assert metrics[names[key]]["value"] == value, key
 
@@ -459,7 +450,7 @@ class TestReportCommand:
         curve = PayloadCurve(strains=tuple(strains), loads=tuple(150.0 * strains))
         path = tmp_path / "line.csv"
         expio.write_payload_csv(curve, path)
-        metrics = self._report_metrics(capsys, path, tmp_path / "report")
+        metrics = self._report_metrics(capsys, tmp_path, "--curve", str(path))
         assert metrics["Two-zone spring fit"]["degenerate"] == {"value": True, "unit": ""}
 
 
@@ -487,27 +478,26 @@ class TestResultContract:
             written = {p for p, data in after.items() if data is not None and p not in before}
             assert written == {Path(path) for path, _ in result.files}, name
 
-    def test_report_payload_is_the_written_document(self, capsys, synthetic_csv, tmp_path):
-        argv = ["report", "--curve", str(synthetic_csv), "--out-dir", str(tmp_path / "report")]
+    def test_report_payload_is_the_written_document(self, capsys, tmp_path):
+        argv = _base_argv(tmp_path)["report"]
         payload = cmd_report(build_parser().parse_args(argv)).payload
         assert main(argv) == 0
         assert payload == json.loads((tmp_path / "report" / "report.json").read_text())
 
-    @pytest.mark.parametrize("argv, path", [
-        (["spring", "fit", "--in", "{csv}", "--out", "{tmp}/absent/fit.json", "--json"],
-         "{tmp}/absent/fit.json"),
-        (["tactile", "render", "--out", "{tmp}/absent/frame.pgm"], "{tmp}/absent/frame.pgm"),
-        (["tactile", "render", "--out", "{tmp}/frame.pgm", "--sidecar", "{tmp}/absent/gt.json"],
-         "{tmp}/absent/gt.json"),
-        (["report", "--curve", "{csv}", "--out-dir", "{tmp}/report"], "{tmp}/report/report.json"),
+    @pytest.mark.parametrize("command, flag, path", [
+        ("spring fit", "--out", "absent/fit.json"),
+        ("tactile render", "--out", "absent/frame.pgm"),
+        ("tactile render", "--sidecar", "absent/gt.json"),
+        ("report", None, "report/report.json"),  # criterion 7's own --out-dir
     ], ids=["spring-fit-out", "tactile-render-out", "tactile-render-sidecar", "report-json"])
     def test_failing_write_exits_2_naming_path_with_nothing_on_stdout(
-            self, capsys, synthetic_csv, tmp_path, argv, path):
+            self, capsys, tmp_path, command, flag, path):
         (tmp_path / "report" / "report.json").mkdir(parents=True)  # a directory in the way
-        fill = {"csv": synthetic_csv, "tmp": tmp_path}
-        code, out, err = run(capsys, [arg.format(**fill) for arg in argv])
+        path = str(tmp_path / path)
+        argv = _base_argv(tmp_path)[command]
+        code, out, err = run(capsys, _override(command, argv, [flag, path]) if flag else argv)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and path.format(**fill) in err
+        assert err.startswith("error: ") and path in err
 
 
 VALID_FILES = {

@@ -1,4 +1,5 @@
 """The shared finite-value checks, and every public boundary that uses them."""
+import dataclasses
 import enum
 import math
 import numbers
@@ -442,6 +443,9 @@ def _plot(*series):
     ("xs", lambda: _plot(([-1e308, 1e308], [0.0, 1.0]))),
     ("ys", lambda: _plot(([0.0], [-1e308]), ([1.0], [1e308]))),
     ("xs", lambda: _plot(([[0.0, 1.0]], [0.0]))),
+    ("xy", lambda: tactile.MarkerSet(xy=[(math.nan, 0.0)], areas=[1], merged=[False])),
+    ("shifts", lambda: tactile.DisplacementField(
+        prev_index=[0], curr_index=[0], shifts=[(math.inf, 0.0)], lost=[], appeared=[])),
 ], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
         "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections",
         "xy-none", "xy-odd-size", "areas-string", "areas-nan", "areas-past-int64",
@@ -450,10 +454,71 @@ def _plot(*series):
         "prev-index-string", "shifts-none", "lost-none", "appeared-ragged", "areas-scalar",
         "merged-scalar", "lost-scalar", "areas-2d", "prev-index-2d", "plot-nan-x", "plot-inf-y",
         "plot-unequal-lengths", "plot-x-without-y", "plot-y-without-x", "plot-x-span-overflows",
-        "plot-y-span-across-series-overflows", "plot-2d-x"])
+        "plot-y-span-across-series-overflows", "plot-2d-x", "xy-nan", "shifts-inf"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
         call()
+
+
+TWO_PAIRS = [(0.0, 0.0), (1.0, 1.0)]
+# every public array field: (kind, call that passes the value v in that field); a value is
+# one row of two entries, given twice as the rows of a 2-D field
+ARRAY_FIELDS = {
+    "strains": ("number", lambda v: spring.PayloadCurve(strains=v, loads=(0.0, 1.0))),
+    "loads": ("number", lambda v: spring.PayloadCurve(strains=(0.0, 1.0), loads=v)),
+    "deflections": ("number", lambda v: spring.PayloadCurve.from_absolute(v, (0.0, 1.0), 0.05)),
+    "xs": ("number", lambda v: _plot((v, [0.0, 1.0]))),
+    "ys": ("number", lambda v: _plot(([0.0, 1.0], v))),
+    "pixels": ("number", lambda v: tactile.TactileFrame(pixels=v)),
+    "xy": ("number", lambda v: tactile.MarkerSet(xy=v, areas=[1, 1], merged=[False, False])),
+    "areas": ("number", lambda v: tactile.MarkerSet(xy=TWO_PAIRS, areas=v, merged=[False, False])),
+    "merged": ("bool", lambda v: tactile.MarkerSet(xy=TWO_PAIRS, areas=[1, 1], merged=v)),
+    **{name: ("number", lambda v, name=name: tactile.DisplacementField(**{
+        "prev_index": [0, 1], "curr_index": [0, 1], "shifts": TWO_PAIRS, "lost": [],
+        "appeared": [], name: v}))
+       for name in ("prev_index", "curr_index", "shifts", "lost", "appeared")},
+}
+ARRAY_INPUTS = {
+    "bool-list": [False, True],
+    "bool-array": np.array([False, True]),
+    "numpy-bool-among-floats": [0.0, np.True_],
+    "fraction": [0.0, Fraction(1)],
+    "integral-floats": [0.0, 1.0],
+    "string": ["0", "1"],
+    "none": None,
+    "ragged": [[0.0], [0.0, 1.0]],
+    "one-dimension-too-many": [[0.0, 1.0], [0.0, 1.0]],
+    "nan": [0.0, math.nan],
+}
+ACCEPTED_INPUTS = {"number": {"fraction", "integral-floats"}, "bool": {"bool-list", "bool-array"}}
+TWO_DIMENSIONAL = {"pixels", "xy", "shifts"}
+
+
+@pytest.mark.parametrize("given", ARRAY_INPUTS)
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_array_field_verdict_is_its_kinds(field, given):
+    """One array rule (errors.array): an input gets the same verdict in each field of a kind."""
+    kind, call = ARRAY_FIELDS[field]
+    value = ARRAY_INPUTS[given]
+    if field in TWO_DIMENSIONAL and value is not None:
+        value = np.array([value, value]) if isinstance(value, np.ndarray) else [value, value]
+    if given in ACCEPTED_INPUTS[kind]:
+        call(value)
+    else:
+        with pytest.raises(ValidationError, match=rf"^{field} must"):
+            call(value)
+
+
+def test_integer_field_takes_the_exact_values_of_an_object_array():
+    """Fractions and ints past 2**53 reach an integer field exactly, not rounded through a float."""
+    markers = tactile.MarkerSet(xy=TWO_PAIRS, areas=[Fraction(1), 2**62 + 1], merged=[False] * 2)
+    assert markers.areas.tolist() == [1, 2**62 + 1]
+
+
+def test_every_tactile_array_field_is_in_the_verdict_table():
+    annotated = {f.name for record in vars(tactile).values() if dataclasses.is_dataclass(record)
+                 for f in dataclasses.fields(record) if f.type in (np.ndarray, "np.ndarray")}
+    assert annotated and annotated <= set(ARRAY_FIELDS)
 
 
 PATH_CALLS = pytest.mark.parametrize("call", [

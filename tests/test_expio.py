@@ -356,7 +356,7 @@ def _plot_rejection(series):
     for xs, ys, _ in series:
         for name, values in (("xs", xs), ("ys", ys)):
             if not all(map(math.isfinite, values)):
-                return f"{name} must be finite"
+                return f"{name} must be a 1-D array of finite numbers"
     if any(len(xs) != len(ys) for xs, ys, _ in series):
         return "ys must have as many samples as xs"
     all_x = [x for xs, _, _ in series for x in xs]

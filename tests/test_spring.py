@@ -20,6 +20,7 @@ from twistgrip.spring import (
 
 # S1 = 100 N/strain, S2 = 400 N/strain, breakpoint at strain 0.4
 SPEC = SkinSpec(100.0, 400.0, 0.4)
+NOT_SAMPLES = "must be a 1-D array of finite numbers$"  # errors.array's message for floats
 
 
 def synthetic_curve(spec, n=50, max_strain=1.0):
@@ -54,10 +55,12 @@ class TestPayloadCurve:
         with pytest.raises(ValidationError):
             PayloadCurve(strains=(0.0, 0.2), loads=(-1.0, 2.0))
 
-    @pytest.mark.parametrize("strains,loads", [
-        ((0.0, 0.2), (0.0,)), (((0.0, 0.2),), ((0.0, 1.0),))], ids=["unequal-length", "2-D"])
-    def test_samples_of_unequal_length_or_not_1d_rejected(self, strains, loads):
-        with pytest.raises(ValidationError, match="1-D and equal length"):
+    @pytest.mark.parametrize("strains,loads,message", [
+        ((0.0, 0.2), (0.0,), "^strains and loads must be 1-D and equal length$"),
+        (((0.0, 0.2),), ((0.0, 1.0),), f"^strains {NOT_SAMPLES}")],
+        ids=["unequal-length", "2-D"])
+    def test_samples_of_unequal_length_or_not_1d_rejected(self, strains, loads, message):
+        with pytest.raises(ValidationError, match=message):
             PayloadCurve(strains=strains, loads=loads)
 
     @pytest.mark.parametrize("samples", [
@@ -67,14 +70,14 @@ class TestPayloadCurve:
     @pytest.mark.parametrize("field", ["strains", "loads"])
     def test_samples_not_numbers_rejected_naming_field(self, field, samples):
         values = {"strains": (0.0, 0.5), "loads": (0.0, 1.0), field: samples}
-        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers$"):
+        with pytest.raises(ValidationError, match=f"^{field} {NOT_SAMPLES}"):
             PayloadCurve(**values)
         if field == "strains":
-            with pytest.raises(ValidationError, match="^deflections must be a sequence"):
+            with pytest.raises(ValidationError, match=f"^deflections {NOT_SAMPLES}"):
                 PayloadCurve.from_absolute(samples, (0.0, 1.0), skin_height=0.05)
 
     def test_integer_past_the_float_range_is_no_finite_sample(self):
-        with pytest.raises(ValidationError, match="^payload samples must be finite$"):
+        with pytest.raises(ValidationError, match=f"^strains {NOT_SAMPLES}"):
             PayloadCurve(strains=(0.0, 10**400), loads=(0.0, 1.0))
 
     def test_samples_of_any_real_type_accepted(self):
@@ -93,7 +96,7 @@ class TestPayloadCurve:
             PayloadCurve.from_absolute([0.0, 1e10], [0.0, 1.0], skin_height)
 
     def test_from_absolute_non_finite_deflection_stays_a_sample_error(self):
-        with pytest.raises(ValidationError, match="payload samples must be finite"):
+        with pytest.raises(ValidationError, match=f"^deflections {NOT_SAMPLES}"):
             PayloadCurve.from_absolute([0.0, math.inf], [0.0, 1.0], 0.05)
 
 
