@@ -58,7 +58,7 @@ def array(name, values, dtype, shape=(None,)):
             given = floats if dtype.kind == "f" else given  # an integer cast reads each exactly
         elif given.dtype.kind not in "biuf" or (given.dtype.kind == "b") != (dtype.kind == "b"):
             raise TypeError
-        elif given is not values and dtype.kind != "b":  # numpy reads a nested bool as 0 or 1
+        elif not isinstance(values, np.ndarray) and dtype.kind != "b":  # a list's bool reads 1
             leaves = values
             for _ in range(given.ndim - 1):
                 leaves = chain.from_iterable(leaves)

@@ -43,6 +43,13 @@ class TestPressureCommand:
         assert "524.6" in out
         assert "relative difference" in out
 
+    def test_json_mode(self, capsys, tmp_path):
+        code, out, _ = run(capsys, _base_argv(tmp_path, "pressure"))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["closed_form_n_per_m"] == pytest.approx(524.6, abs=0.05)
+        assert doc["relative_difference"] < 1e-6
+
     @pytest.mark.parametrize("n", [10, 1000, 100_000])
     def test_residual_comes_from_the_quadrature_grid(self, capsys, n):
         code, out, _ = run(capsys, ["pressure", "--mass", "0.21", "--radius", "0.025", "--k", "0.5",
@@ -67,7 +74,7 @@ class TestPressureCommand:
 
 class TestSpringCommands:
     def test_fit_echoes_parameters(self, capsys, tmp_path):
-        code, out, _ = run(capsys, _base_argv(tmp_path)["spring fit"])
+        code, out, _ = run(capsys, _base_argv(tmp_path, "spring fit"))
         assert code == 0
         doc = json.loads(out)
         assert doc["slope1_n_per_strain"] == pytest.approx(100.0, rel=1e-6)
@@ -340,18 +347,21 @@ COMMANDS = {" ".join(words): parser for words, parser in _commands(build_parser(
             if parser.get_default("func")}
 
 
-def _base_argv(tmp_path):
-    """{command: argv} of criterion 7's first invocation of each command, inputs in tmp_path:
-    the renders run, for the tactile commands' frames; report does not, so no --out-dir."""
+READS_FRAMES = {"tactile detect", "tactile track", "tactile summarize"}
+
+
+def _base_argv(tmp_path, command):
+    """argv of criterion 7's first invocation of command, its inputs in tmp_path: the renders
+    run only for a command in READS_FRAMES; report does not run, so there is no --out-dir."""
     bases = {}
     for _, _, argv, _ in golden.criterion7_invocations(tmp_path):
         argv = [str(a) for a in argv]
-        command = " ".join(a for a in argv[:2] if not a.startswith("-"))
-        if command == "tactile render":
+        name = " ".join(a for a in argv[:2] if not a.startswith("-"))
+        if name == "tactile render" and command in READS_FRAMES:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
-        bases.setdefault(command, argv)
-    return bases
+        bases.setdefault(name, argv)
+    return bases[command]
 
 
 def _override(command, base, args):
@@ -398,7 +408,7 @@ def _override(command, base, args):
         "predict-strain-overflows", "predict-load-overflows", "report-support-overflows",
         "skin-height-overflows-strain"])
 def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, command, args, prefix):
-    code, out, err = run(capsys, _override(command, _base_argv(tmp_path)[command], args))
+    code, out, err = run(capsys, _override(command, _base_argv(tmp_path, command), args))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {prefix}")
     assert not (tmp_path / "report").exists()  # report writes nothing before every section holds
@@ -406,7 +416,7 @@ def test_out_of_domain_number_flag_exits_2_naming_field(capsys, tmp_path, comman
 
 class TestReportCommand:
     def test_end_to_end_report(self, capsys, tmp_path):
-        code, out, _ = run(capsys, _base_argv(tmp_path)["report"])
+        code, out, _ = run(capsys, _base_argv(tmp_path, "report"))
         assert code == 0
         doc = json.loads((tmp_path / "report" / "report.json").read_text())
         titles = [s["title"] for s in doc["sections"]]
@@ -427,7 +437,7 @@ class TestReportCommand:
 
     def _report_metrics(self, capsys, tmp_path, *args):
         """{title: metrics} of criterion 7's report in tmp_path, args overriding its flags."""
-        code, _, _ = run(capsys, _override("report", _base_argv(tmp_path)["report"], [*args]))
+        code, _, _ = run(capsys, _override("report", _base_argv(tmp_path, "report"), [*args]))
         assert code == 0
         doc = json.loads((tmp_path / "report" / "report.json").read_text())
         return {s["title"]: s["metrics"] for s in doc["sections"]}
@@ -437,7 +447,7 @@ class TestReportCommand:
         ("Line pressure cross-check", PRESSURE_NAMES, "pressure"),
     ])
     def test_report_section_holds_every_json_field(self, capsys, tmp_path, title, names, command):
-        code, out, _ = run(capsys, _base_argv(tmp_path)[command])  # criterion 7's, with --json
+        code, out, _ = run(capsys, _base_argv(tmp_path, command))  # criterion 7's, with --json
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == set(names)
@@ -479,7 +489,7 @@ class TestResultContract:
             assert written == {Path(path) for path, _ in result.files}, name
 
     def test_report_payload_is_the_written_document(self, capsys, tmp_path):
-        argv = _base_argv(tmp_path)["report"]
+        argv = _base_argv(tmp_path, "report")
         payload = cmd_report(build_parser().parse_args(argv)).payload
         assert main(argv) == 0
         assert payload == json.loads((tmp_path / "report" / "report.json").read_text())
@@ -494,7 +504,7 @@ class TestResultContract:
             self, capsys, tmp_path, command, flag, path):
         (tmp_path / "report" / "report.json").mkdir(parents=True)  # a directory in the way
         path = str(tmp_path / path)
-        argv = _base_argv(tmp_path)[command]
+        argv = _base_argv(tmp_path, command)
         code, out, err = run(capsys, _override(command, argv, [flag, path]) if flag else argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and path in err
@@ -576,7 +586,7 @@ def test_fuzz_malformed_file_exits_0_or_2(kind, tmp_path_factory):
     workdir = tmp_path_factory.mktemp(f"fuzz-{kind}")
     path = workdir / f"input.{kind}"
     command, flag = READERS[kind]
-    argv = _override(command, _base_argv(workdir)[command], [flag, str(path)])
+    argv = _override(command, _base_argv(workdir, command), [flag, str(path)])
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(contents=malformed(kind))
@@ -607,7 +617,7 @@ sys.exit(code)
 
 
 def test_tactile_command_loads_no_grasp(tmp_path):
-    argv = _base_argv(tmp_path)["tactile detect"]
+    argv = _base_argv(tmp_path, "tactile detect")
     child = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], env=CHILD_ENV,
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0 and json.loads(child.stdout)["count"] == 25
@@ -670,7 +680,7 @@ def _main_in_child(argv):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_base_argv_exits_0_in_child(command, tmp_path):  # a cap that starves a child fails here
-    assert _main_in_child(_base_argv(tmp_path)[command])[::2] == (0, "")
+    assert _main_in_child(_base_argv(tmp_path, command))[::2] == (0, "")
 
 
 @pytest.mark.parametrize("argv, command", [  # argv is added to criterion 7's invocation
@@ -680,7 +690,7 @@ def test_base_argv_exits_0_in_child(command, tmp_path):  # a cap that starves a 
     (["--n-intervals", str(10**30)], "pressure"),
 ])
 def test_input_too_large_to_serve_exits_2_naming_subcommand(tmp_path, argv, command):
-    code, _, err = _main_in_child(_override(command, _base_argv(tmp_path)[command], argv))
+    code, _, err = _main_in_child(_override(command, _base_argv(tmp_path, command), argv))
     assert code == 2, err
     assert err.startswith(f"error: {command}: ")
     assert "internal error" not in err
@@ -712,7 +722,7 @@ TYPED = {command: {a.option_strings[0]: a for a in parser._actions if a.type is 
 @pytest.mark.parametrize("command", sorted(command for command, flags in TYPED.items() if flags))
 def test_fuzz_number_flag_exits_0_or_2(command, tmp_path):
     """Each typed flag of the parser, one at a time, added to criterion 7's invocation."""
-    base = _base_argv(tmp_path)[command]
+    base = _base_argv(tmp_path, command)
     flags = TYPED[command]
     flag_values = st.one_of([st.tuples(st.just(flag), FUZZ_VALUES[action.type])  # or KeyError
                              for flag, action in sorted(flags.items())])
