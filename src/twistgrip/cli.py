@@ -8,9 +8,10 @@ machine-readable JSON mode next to the human-readable default.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.
 
-Each command computes its whole result first; `main` then writes the result's
-files in order and prints stdout last, so a failing write exits 2 with nothing
-on stdout.
+Each command computes its whole result first; `main` then checks every file's
+destination, writes the files in order and prints stdout last, so a failing
+write exits 2 with nothing on stdout, and a destination whose parent is no
+directory, or that is one, fails before the first file is written.
 
 Each command imports the modules it runs when it runs, so `spring predict`,
 `grasp simulate` and `grasp validate` never load numpy, and only the tactile
@@ -25,6 +26,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -456,6 +458,9 @@ def main(argv=None):
         result = args.func(args)
         out = (json.dumps(result.payload, indent=2, sort_keys=True, allow_nan=False)
                if getattr(args, "json", False) else "\n".join(result.human))
+        for path, _ in result.files:
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
+                open(path, "rb+").close()  # raises the OSError the write would, creating nothing
         for path, write in result.files:
             write(path)
         print(out)

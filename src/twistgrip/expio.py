@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 
-from .errors import (DomainError, ParseError, ValidationError, array, require_non_negative,
+from .errors import (DomainError, ParseError, ValidationError, array, real, require_non_negative,
                      require_path, require_positive)
 from .pressure import G_DEFAULT
 from .spring import PayloadCurve
@@ -132,7 +132,7 @@ def payload_to_weight_ratio(max_payload_kgf, gripper_weight_kg):
 
 def newtons_to_kgf(value):
     require_non_negative(value=value)  # a payload or a load: finite and >= 0
-    return value / G_DEFAULT
+    return real(value) / G_DEFAULT
 
 
 _SVG_WIDTH = 640
@@ -144,14 +144,18 @@ _SERIES_COLORS = ("#1f6fb4", "#d1495b", "#3a7d44", "#8d6a9f", "#c98a1b", "#4a4a4
 def emit_plot(series, path, *, title, x_label, y_label):
     """Write a deterministic SVG line plot.
 
-    series is a list of (xs, ys, label); each xs and ys is a sequence of finite
-    numbers, the two of equal length. NaN or inf samples, unequal lengths and a
-    range whose span overflows raise ValidationError naming xs or ys. The title,
-    axis and series labels are written with &, < and > escaped. The output
-    depends only on the inputs (fixed canvas, fixed float formatting), so
-    identical calls produce byte-identical files.
+    series is a list of (xs, ys, label) triples, else ValidationError names series;
+    each xs and ys is a sequence of finite numbers, the two of equal length. NaN or
+    inf samples, unequal lengths and a range whose span overflows raise it naming
+    xs or ys. The title, axis and series labels are written with &, < and >
+    escaped. The output depends only on the inputs (fixed canvas, fixed float
+    formatting), so identical calls produce byte-identical files.
     """
     import numpy as np
+    try:
+        series = [(xs, ys, label) for xs, ys, label in series]
+    except (TypeError, ValueError):
+        raise ValidationError("series must be a sequence of (xs, ys, label) triples") from None
     if not series:
         raise DomainError("emit_plot requires at least one series")
     arrays = [(array("xs", xs, float), array("ys", ys, float), label) for xs, ys, label in series]

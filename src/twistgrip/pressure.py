@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, require_integer, require_non_negative, require_positive, within
+from .errors import DomainError, real, require_integer, require_non_negative, require_positive, within
 
 G_DEFAULT = 9.81  # m/s^2
 N_INTERVALS_DEFAULT = 100_000
@@ -34,6 +34,8 @@ class SphericalObject:
     def __post_init__(self):
         require_non_negative(mass=self.mass)
         require_positive(radius=self.radius)
+        for name in ("mass", "radius"):  # kept as floats: a float32 would compute in float32
+            object.__setattr__(self, name, real(getattr(self, name)))
         if not sys.float_info.min <= self.radius * self.radius < math.inf:
             raise DomainError(f"radius must square to a finite normal float, got {self.radius!r}")
 
@@ -47,6 +49,7 @@ class FrictionModel:
     def __post_init__(self):
         if not (within(0, 1, self.k) and self.k < 1):
             raise DomainError(f"friction coefficient must satisfy 0 <= k < 1, got {self.k}")
+        object.__setattr__(self, "k", real(self.k))
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,7 @@ class PressureDistribution:
 
     def __post_init__(self):
         require_non_negative(p_bottom=self.p_bottom)
+        object.__setattr__(self, "p_bottom", real(self.p_bottom))
 
 
 def _line_pressure(obj, g, weight, support):
@@ -73,7 +77,7 @@ def _line_pressure(obj, g, weight, support):
 def line_pressure_closed_form(obj, fric, g=G_DEFAULT):
     """Closed-form bottom-half line pressure p_b = 3mg / (4 pi (1+k) r^2), N/m."""
     require_non_negative(g=g)
-    return _line_pressure(obj, g, 3.0 * obj.mass * g,
+    return _line_pressure(obj, g, 3.0 * obj.mass * real(g),
                           4.0 * math.pi * (1.0 + fric.k) * obj.radius**2)
 
 
@@ -116,7 +120,7 @@ def line_pressure_quadrature(obj, fric, g=G_DEFAULT, n_intervals=N_INTERVALS_DEF
     require_non_negative(g=g)
     a, b = _grid_terms(n_intervals)
     r = obj.radius
-    return _line_pressure(obj, g, obj.mass * g, 4.0 * math.pi * (r * r * (a + fric.k * b)))
+    return _line_pressure(obj, g, obj.mass * real(g), 4.0 * math.pi * (r * r * (a + fric.k * b)))
 
 
 def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_DEFAULT):
@@ -131,7 +135,7 @@ def equilibrium_residual(obj, fric, dist, g=G_DEFAULT, n_intervals=N_INTERVALS_D
     r = obj.radius
     a, b = _grid_terms(n_intervals)
     support = 4.0 * math.pi * r * r * (dist.p_bottom * (a + fric.k * b))
-    residual = obj.mass * g - support
+    residual = obj.mass * real(g) - support
     if not -math.inf < residual < math.inf:
         raise DomainError(f"radius must keep the support integral finite at p_bottom="
                           f"{dist.p_bottom!r}, got {r!r}")

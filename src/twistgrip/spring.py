@@ -39,6 +39,8 @@ class SkinSpec:
         require_positive(slope1=self.slope1, slope2=self.slope2, breakpoint=self.breakpoint)
         if self.slope2 <= self.slope1:
             raise DomainError("slope2 must exceed slope1 (the skin stiffens with load)")
+        for name in ("slope1", "slope2", "breakpoint"):  # a float32 would compute in float32
+            object.__setattr__(self, name, real(getattr(self, name)))
 
     @classmethod
     def from_slopes(cls, slope1, slope2, breakpoint):
@@ -100,6 +102,8 @@ class ZoneFit:
     def __post_init__(self):
         require_non_negative(slope1=self.slope1, slope2=self.slope2, breakpoint=self.breakpoint,
                              rms_relative_error=self.rms_relative_error)
+        for name in ("slope1", "slope2", "breakpoint"):  # a float32 would compute in float32
+            object.__setattr__(self, name, real(getattr(self, name)))
 
     def predict(self, strain):
         """Piecewise-linear load at the given strain, N."""
@@ -114,6 +118,8 @@ def predict_load(strain, spec):
     """
     if not within(0.0, sys.float_info.max, strain):  # per-sample callers skip the keyword call
         require_non_negative(strain=strain)
+    if type(strain) is not float:  # a float32 would compute in float32
+        strain = real(strain)
     t = spec.breakpoint
     load = spec.slope1 * strain if strain <= t else spec.slope1 * t + spec.slope2 * (strain - t)
     if load == math.inf:
@@ -128,6 +134,7 @@ def predict_strain(load, spec):
     load in that zone raises DomainError naming the slope.
     """
     require_non_negative(load=load)
+    load = real(load)
     load_at_transition = spec.slope1 * spec.breakpoint
     zone_slope = "slope1" if load <= load_at_transition else "slope2"
     if getattr(spec, zone_slope) == 0:
@@ -145,7 +152,7 @@ def predict_strain(load, spec):
 def estimate_object_mass(strain, spec, g=G_DEFAULT):
     """Object mass inferred from the measured strain: m = P(strain) / g, kg."""
     require_positive(g=g)
-    mass = predict_load(strain, spec) / g
+    mass = predict_load(strain, spec) / real(g)
     if mass == math.inf:
         raise DomainError(f"g must give a finite mass, got {g!r}")
     return mass

@@ -65,6 +65,7 @@ class MarkerLayout:
     @classmethod
     def grid(cls, n_cols, n_rows):
         """Regular n_cols x n_rows grid of default-size markers inside the unit square."""
+        require_integer(1, n_cols=n_cols, n_rows=n_rows)
         us = np.linspace(GRID_MARGIN, 1.0 - GRID_MARGIN, n_cols)
         vs = np.linspace(GRID_MARGIN, 1.0 - GRID_MARGIN, n_rows)
         return cls(markers=tuple(enumerate((float(u), float(v)) for v in vs for u in us)))
@@ -73,11 +74,14 @@ class MarkerLayout:
     def from_json(cls, doc):
         """Build from {"marker_diameter_m": d, "markers": [{"id", "u", "v"}, ...]}.
 
-        A missing key raises ValidationError naming its path.
+        A missing key, or markers that are no list, raises ValidationError naming it.
         """
+        entries = require_key(doc, "markers")
+        if not isinstance(entries, (list, tuple)):
+            raise ValidationError(f"markers must be a list of {{id, u, v}}, got {entries!r}")
         markers = tuple((require_key(doc, "markers", i, "id"),
                          tuple(require_key(doc, "markers", i, axis) for axis in "uv"))
-                        for i in range(len(require_key(doc, "markers"))))
+                        for i in range(len(entries)))
         return cls(markers=markers, marker_diameter=require_key(doc, "marker_diameter_m"))
 
     # built once per layout, not fields, so ==, hash and repr read the markers alone
@@ -108,7 +112,7 @@ class CameraModel:
 
     @property
     def pixels_per_meter(self):
-        return real(self.width) / self.view_width  # a width past the float range gives inf
+        return real(self.width) / real(self.view_width)  # a width past the float range gives inf
 
 
 @dataclass(frozen=True)
@@ -433,7 +437,7 @@ def detect_markers(binary, min_area=5, expected_area=None):
     kept = kept[np.lexsort((mean_x[kept], mean_y[kept]))]  # stable, by (y, x)
     areas = areas[kept]
     merged = (np.zeros(len(kept), dtype=bool) if expected_area is None
-              else areas > MERGED_AREA_FACTOR * expected_area)
+              else areas > MERGED_AREA_FACTOR * real(expected_area))
     return MarkerSet(xy=np.column_stack((mean_x[kept], mean_y[kept])), areas=areas, merged=merged)
 
 

@@ -149,8 +149,10 @@ def test_non_finite_value_rejected_naming_field(boundary, value, tmp_path, monke
     assert re.search(rf"\b{field}\b", str(exc.value)), str(exc.value)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.int64(1)],
-                         ids=["fraction", "float32", "int64"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.int64(1), np.float32(3e38),
+                                   np.float32(1e-30), np.float32(1.4e-45), np.float16(6e4)],
+                         ids=["fraction", "float32", "int64", "float32-huge", "float32-tiny",
+                              "float32-subnormal", "float16-huge"])
 @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
 def test_real_number_of_any_type_returns_or_raises_a_named_error(boundary, value, tmp_path,
                                                                   monkeypatch):
@@ -328,8 +330,25 @@ def test_fast_paths_match_the_abc_rules(value, other, at_least):
                 (type(d), struct.pack("<d", d)) for d in expected]
 
 
-# (field named in the error, call with a finite value outside the field's domain)
+# (name the error starts with, call with a finite value outside the field's domain): the field,
+# or the name its message uses, such as "friction coefficient" for k
 OUT_OF_DOMAIN = {
+    "SphericalObject.mass.negative": ("mass", lambda: pressure.SphericalObject(-1.0, 0.05)),
+    "SphericalObject.radius.zero": ("radius", lambda: pressure.SphericalObject(1.0, 0.0)),
+    **{f"FrictionModel.k.{k}": ("friction coefficient", lambda k=k: pressure.FrictionModel(k))
+       for k in (-0.1, 1.0, 1.5)},
+    "PressureDistribution.p_bottom.negative": (
+        "p_bottom", lambda: pressure.PressureDistribution(p_bottom=-1.0)),
+    "SkinSpec.slope1.zero": ("slope1", lambda: spring.SkinSpec(0.0, 400.0, 0.4)),
+    "predict_load.strain.negative": ("strain", lambda: spring.predict_load(-0.1, SPEC)),
+    "predict_strain.load.negative": ("load", lambda: spring.predict_strain(-5.0, SPEC)),
+    "ZoneFit.predict.strain.negative": ("strain", lambda: FIT.predict(-0.1)),
+    "MarkerLayout.grid.n_cols.negative": ("n_cols", lambda: tactile.MarkerLayout.grid(-1, 3)),
+    "MarkerLayout.grid.n_rows.zero": ("n_rows", lambda: tactile.MarkerLayout.grid(3, 0)),
+    "binarize.threshold.300": ("threshold", lambda: tactile.binarize(FRAME, threshold=300)),
+    "track.gate.zero": ("gate", lambda: tactile.track(EMPTY, EMPTY, gate=0.0)),
+    "payload_to_weight_ratio.gripper_weight_kg.zero": (
+        "gripper_weight_kg", lambda: expio.payload_to_weight_ratio(30.0, 0.0)),
     "detect_markers.min_area.negative": (
         "min_area", lambda: tactile.detect_markers(FRAME, min_area=-3)),
     **{f"detect_markers.expected_area.{value}": (
@@ -351,6 +370,8 @@ def test_finite_value_outside_domain_rejected_naming_field(case):
 COUNTS = {
     **{f"CameraModel.{name}": (name, lambda x, name=name: tactile.CameraModel(**{name: x}))
        for name in ("width", "height")},
+    "MarkerLayout.grid.n_cols": ("n_cols", lambda x: tactile.MarkerLayout.grid(x, 2)),
+    "MarkerLayout.grid.n_rows": ("n_rows", lambda x: tactile.MarkerLayout.grid(2, x)),
     **{f"render_frame.seed.noise{sigma}": (
         "seed", lambda x, sigma=sigma: tactile.render_frame(
             LAYOUT, tactile.Deformation(), CAMERA, noise_sigma=sigma, seed=x))
@@ -392,15 +413,19 @@ def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
         tactile.TactileFrame(pixels=[[0, value]])
 
 
+def _emit(series):
+    expio.emit_plot(series, os.devnull, title="t", x_label="x", y_label="y")
+
+
 def _plot(*series):
-    expio.emit_plot([(xs, ys, "s") for xs, ys in series], os.devnull,
-                    title="t", x_label="x", y_label="y")
+    _emit([(xs, ys, "s") for xs, ys in series])
 
 
 @pytest.mark.parametrize("field, call", [
     ("pixels", lambda: tactile.TactileFrame(pixels=[[0], [0, 1]])),
     ("markers", lambda: tactile.MarkerLayout(markers=(5,))),
     ("markers", lambda: tactile.MarkerLayout(markers=5)),
+    ("markers", lambda: tactile.MarkerLayout.from_json({"markers": 5, "marker_diameter_m": 0.002})),
     ("displacements", lambda: tactile.Deformation(displacements=[(1, (0, 0))])),
     ("occluded", lambda: tactile.Deformation(occluded=5)),
     ("strains", lambda: spring.PayloadCurve(strains=(0.5, True, 3.0), loads=(0.0, 1.0, 2.0))),
@@ -446,15 +471,18 @@ def _plot(*series):
     ("xy", lambda: tactile.MarkerSet(xy=[(math.nan, 0.0)], areas=[1], merged=[False])),
     ("shifts", lambda: tactile.DisplacementField(
         prev_index=[0], curr_index=[0], shifts=[(math.inf, 0.0)], lost=[], appeared=[])),
-], ids=["ragged-pixels", "markers-of-ints", "markers-int", "displacements-list", "occluded-int",
-        "bool-among-strains", "numpy-bool-among-loads", "numpy-bool-among-deflections",
+    *[("series", lambda series=series: _emit(series)) for series in ([([0.0], [0.0])], 5, [None])],
+], ids=["ragged-pixels", "markers-of-ints", "markers-int", "markers-json-int", "displacements-list",
+        "occluded-int", "bool-among-strains", "numpy-bool-among-loads",
+        "numpy-bool-among-deflections",
         "xy-none", "xy-odd-size", "areas-string", "areas-nan", "areas-past-int64",
         "areas-float-array-nan", "areas-float-array-fraction", "areas-float-array-past-int64",
         "merged-string", "merged-fraction", "prev-index-float-array-inf",
         "prev-index-string", "shifts-none", "lost-none", "appeared-ragged", "areas-scalar",
         "merged-scalar", "lost-scalar", "areas-2d", "prev-index-2d", "plot-nan-x", "plot-inf-y",
         "plot-unequal-lengths", "plot-x-without-y", "plot-y-without-x", "plot-x-span-overflows",
-        "plot-y-span-across-series-overflows", "plot-2d-x", "xy-nan", "shifts-inf"])
+        "plot-y-span-across-series-overflows", "plot-2d-x", "xy-nan", "shifts-inf",
+        "series-of-pairs", "series-int", "series-of-none"])
 def test_malformed_container_rejected_naming_it(field, call):
     with pytest.raises(ValidationError, match=rf"^{field} must"):
         call()
@@ -489,6 +517,9 @@ ARRAY_INPUTS = {
     "ragged": [[0.0], [0.0, 1.0]],
     "one-dimension-too-many": [[0.0, 1.0], [0.0, 1.0]],
     "nan": [0.0, math.nan],
+    "complex": [0.0, 1j],
+    "none-among-numbers": [None, 1.0],
+    "int-past-float-range": [0.0, 10**400],
 }
 ACCEPTED_INPUTS = {"number": {"fraction", "integral-floats"}, "bool": {"bool-list", "bool-array"}}
 TWO_DIMENSIONAL = {"pixels", "xy", "shifts"}

@@ -131,10 +131,6 @@ class TestRatiosAndConversions:
         from_kgf = expio.payload_to_weight_ratio(33.51, 0.491)
         assert from_newtons == pytest.approx(from_kgf, rel=1e-3)
 
-    def test_zero_weight_rejected(self):
-        with pytest.raises(DomainError):
-            expio.payload_to_weight_ratio(33.51, 0.0)
-
     def test_newtons_to_kgf_cross_check(self):
         assert round(expio.newtons_to_kgf(328.7), 2) == 33.51
 

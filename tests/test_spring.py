@@ -20,26 +20,12 @@ from twistgrip.spring import (
 
 # S1 = 100 N/strain, S2 = 400 N/strain, breakpoint at strain 0.4
 SPEC = SkinSpec(100.0, 400.0, 0.4)
-NOT_SAMPLES = "must be a 1-D array of finite numbers$"  # errors.array's message for floats
 
 
 def synthetic_curve(spec, n=50, max_strain=1.0):
     strains = np.linspace(0.0, max_strain, n)
     loads = [predict_load(s, spec) for s in strains]
     return PayloadCurve(strains=tuple(strains), loads=tuple(loads))
-
-
-class TestSkinSpec:
-    def test_stiff_zone_must_be_stiffer(self):
-        with pytest.raises(DomainError, match="slope2 must exceed slope1"):
-            SkinSpec(400.0, 100.0, 0.4)
-
-    @pytest.mark.parametrize("field,bad", [("slope1", 0.0), ("slope2", float("inf")),
-                                           ("breakpoint", float("nan"))])
-    def test_slopes_and_breakpoint_validated_by_name(self, field, bad):
-        values = {"slope1": 100.0, "slope2": 400.0, "breakpoint": 0.4, field: bad}
-        with pytest.raises(DomainError, match=field):
-            SkinSpec(**values)
 
 
 class TestPayloadCurve:
@@ -55,30 +41,9 @@ class TestPayloadCurve:
         with pytest.raises(ValidationError):
             PayloadCurve(strains=(0.0, 0.2), loads=(-1.0, 2.0))
 
-    @pytest.mark.parametrize("strains,loads,message", [
-        ((0.0, 0.2), (0.0,), "^strains and loads must be 1-D and equal length$"),
-        (((0.0, 0.2),), ((0.0, 1.0),), f"^strains {NOT_SAMPLES}")],
-        ids=["unequal-length", "2-D"])
-    def test_samples_of_unequal_length_or_not_1d_rejected(self, strains, loads, message):
-        with pytest.raises(ValidationError, match=message):
-            PayloadCurve(strains=strains, loads=loads)
-
-    @pytest.mark.parametrize("samples", [
-        ("a", "b"), ("0.5", "1"), ((0.0,), (0.1, 0.2)), (None, 1.0), (True, False), (1j, 2j),
-        (True, None)], ids=["letters", "numeric-strings", "ragged", "none", "bools", "complex",
-                            "bool-and-none"])
-    @pytest.mark.parametrize("field", ["strains", "loads"])
-    def test_samples_not_numbers_rejected_naming_field(self, field, samples):
-        values = {"strains": (0.0, 0.5), "loads": (0.0, 1.0), field: samples}
-        with pytest.raises(ValidationError, match=f"^{field} {NOT_SAMPLES}"):
-            PayloadCurve(**values)
-        if field == "strains":
-            with pytest.raises(ValidationError, match=f"^deflections {NOT_SAMPLES}"):
-                PayloadCurve.from_absolute(samples, (0.0, 1.0), skin_height=0.05)
-
-    def test_integer_past_the_float_range_is_no_finite_sample(self):
-        with pytest.raises(ValidationError, match=f"^strains {NOT_SAMPLES}"):
-            PayloadCurve(strains=(0.0, 10**400), loads=(0.0, 1.0))
+    def test_samples_of_unequal_length_rejected(self):
+        with pytest.raises(ValidationError, match="^strains and loads must be 1-D and equal length$"):
+            PayloadCurve(strains=(0.0, 0.2), loads=(0.0,))
 
     def test_samples_of_any_real_type_accepted(self):
         curve = PayloadCurve(strains=(Fraction(0), Fraction(1, 2), 2**70),
@@ -95,10 +60,6 @@ class TestPayloadCurve:
         with pytest.raises(DomainError, match="skin_height must give finite strains"):
             PayloadCurve.from_absolute([0.0, 1e10], [0.0, 1.0], skin_height)
 
-    def test_from_absolute_non_finite_deflection_stays_a_sample_error(self):
-        with pytest.raises(ValidationError, match=f"^deflections {NOT_SAMPLES}"):
-            PayloadCurve.from_absolute([0.0, math.inf], [0.0, 1.0], 0.05)
-
 
 class TestPredict:
     def test_zero_strain_zero_load(self):
@@ -114,20 +75,12 @@ class TestPredict:
         above = predict_load(0.4 + eps, SPEC)
         assert above == pytest.approx(below, abs=1e-8)
 
-    def test_negative_strain_rejected(self):
-        with pytest.raises(DomainError):
-            predict_load(-0.1, SPEC)
-
     def test_strain_inverse_of_load(self):
         assert predict_strain(80.0, SPEC) == pytest.approx(0.5, rel=1e-12)
 
     def test_round_trip_identity(self):
         for s in np.linspace(0.0, 1.5, 31):
             assert predict_strain(predict_load(s, SPEC), SPEC) == pytest.approx(s, rel=1e-12, abs=1e-15)
-
-    def test_negative_load_rejected(self):
-        with pytest.raises(DomainError):
-            predict_strain(-5.0, SPEC)
 
     @pytest.mark.parametrize("fit,load,slope", [
         (fit_zones(PayloadCurve(strains=tuple(np.linspace(0.0, 0.4, 9)), loads=(0.0,) * 9)),
@@ -211,12 +164,6 @@ class TestFitZones:
     def test_fit_predict(self):
         fit = fit_zones(synthetic_curve(SPEC))
         assert fit.predict(0.5) == pytest.approx(80.0, rel=1e-6)
-
-    @pytest.mark.parametrize("strain", [float("nan"), float("inf"), -0.1])
-    def test_fit_predict_rejects_non_finite_and_negative_strain(self, strain):
-        fit = fit_zones(synthetic_curve(SPEC))
-        with pytest.raises(DomainError):
-            fit.predict(strain)
 
 
 slopes = st.floats(min_value=1e-3, max_value=1e6)
