@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import (DomainError, ParseError, ValidationError, array, real, require_non_negative,
                      require_path, require_positive)
@@ -48,7 +48,7 @@ class Report:
 
 def load_reference_dataset(dataset_id):
     """A bundled reference table's parsed JSON document: "id", "rows" and, optionally, "meta"."""
-    if dataset_id not in DATASET_IDS:
+    if not isinstance(dataset_id, str) or dataset_id not in DATASET_IDS:  # arrays compare elementwise
         raise DomainError(f"unknown dataset {dataset_id!r}; choose from {DATASET_IDS}")
     return json.loads(_dataset_bytes(dataset_id))
 
@@ -115,7 +115,7 @@ def _raise_first_csv_error(path, lines):
 
 def write_payload_csv(curve, path):
     """Write a payload curve in the canonical CSV format (round-trip exact)."""
-    rows = "".join([f"{strain!r},{load!r}\n" for strain, load in zip(curve.strains, curve.loads)])
+    rows = ("%r,%r\n" * len(curve)) % tuple(chain.from_iterable(zip(curve.strains, curve.loads)))
     with open(require_path(path), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n" + rows)
 

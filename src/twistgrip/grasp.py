@@ -8,6 +8,7 @@ environment (first matching rule wins), each failure carrying a reason code.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -233,8 +234,16 @@ def validate_against_reference(dataset_id):
     dataset_id names a bundled table whose meta names the gripper preset and,
     for rows without object fields, the object. Agreement compares the
     predicted verdict against the recorded success rate (>= 50% means the
-    trials mostly succeeded, so Feasible is expected).
+    trials mostly succeeded, so Feasible is expected). A table is replayed once
+    per process; later calls return the same immutable report.
     """
+    if not isinstance(dataset_id, str) or dataset_id not in expio.DATASET_IDS:
+        expio.load_reference_dataset(dataset_id)  # raises; an unknown id never reaches the cache
+    return _replay(dataset_id)
+
+
+@functools.cache
+def _replay(dataset_id):
     dataset = expio.load_reference_dataset(dataset_id)
     meta = dataset.get("meta", {})
     if "gripper" not in meta:

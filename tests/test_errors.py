@@ -394,6 +394,27 @@ def test_non_number_submersion_fraction_rejected_naming_it(value):
         grasp.GraspScenario(GRIPPER, OBJECT, submersion_fraction=value)
 
 
+# (dataset id, message): ids with no feasibility replay, each called twice, so a cached
+# replay can neither raise TypeError for an unhashable id nor turn a repeat into success
+REPLAY_REJECTIONS = {
+    "unknown": ("table9", "unknown dataset"),
+    "list": (["table2_objects"], "unknown dataset"),
+    "dict": ({}, "unknown dataset"),
+    "none": (None, "unknown dataset"),
+    "array": (np.array(["table2_objects"]), "unknown dataset"),
+    "array-of-two": (np.array(["table2_objects", "table3_submersion"]), "unknown dataset"),
+    "payload-table": ("table1_payload", "no feasibility interpretation"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_REJECTIONS))
+def test_dataset_without_replay_rejected_on_every_call(case):
+    dataset_id, message = REPLAY_REJECTIONS[case]
+    for _ in range(2):
+        with pytest.raises(DomainError, match=message):
+            grasp.validate_against_reference(dataset_id)
+
+
 @pytest.mark.parametrize(
     "displacement", [(1, 2, 3), ("a", 1), 1.0, None, (1.0,), "ab", (1j, 0)],
     ids=["triple", "string-dx", "scalar", "none", "single", "string", "complex"])

@@ -54,10 +54,6 @@ class TestReferenceDatasets:
         assert fractions == [0.0, 0.3, 0.6, 0.9]
         assert rates == [1.0, 1.0, 0.08, 0.0]
 
-    def test_unknown_dataset_rejected(self):
-        with pytest.raises(DomainError):
-            expio.load_reference_dataset("table9")
-
     @pytest.mark.parametrize("dataset_id", expio.DATASET_IDS)
     def test_mutating_a_returned_document_leaves_the_next_one_as_shipped(self, dataset_id):
         first = expio.load_reference_dataset(dataset_id)

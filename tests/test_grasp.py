@@ -1,7 +1,8 @@
-import math
+import dataclasses
 
 import pytest
 
+from twistgrip import expio, grasp
 from twistgrip.errors import DomainError, ValidationError
 from twistgrip.grasp import (
     GraspOutcome,
@@ -196,6 +197,29 @@ class TestReferenceValidation:
         assert predicted == [Verdict.FEASIBLE, Verdict.FEASIBLE,
                              Verdict.INFEASIBLE, Verdict.INFEASIBLE]
 
-    def test_unsupported_dataset_rejected(self):
-        with pytest.raises(DomainError, match="no feasibility interpretation"):
-            validate_against_reference("table1_payload")
+
+# each replay table and its row count; test_errors.py holds the ids that are rejected
+REPLAY_ROWS = {"table2_objects": 8, "table3_submersion": 4}
+
+
+@pytest.mark.parametrize("dataset_id", sorted(REPLAY_ROWS))
+class TestReplayOncePerProcess:
+    def test_cached_report_equals_a_fresh_replay(self, dataset_id):
+        assert validate_against_reference(dataset_id) == grasp._replay.__wrapped__(dataset_id)
+
+    def test_repeat_call_returns_the_same_report(self, dataset_id):
+        assert validate_against_reference(dataset_id) is validate_against_reference(dataset_id)
+
+    def test_report_and_its_rows_are_immutable(self, dataset_id):
+        report = validate_against_reference(dataset_id)
+        assert type(report.rows) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.dataset_id = "changed"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.rows[0].predicted = Verdict.INFEASIBLE
+
+    def test_clearing_a_loaded_document_leaves_later_replays_whole(self, dataset_id):
+        expio.load_reference_dataset(dataset_id)["rows"].clear()
+        fresh = grasp._replay.__wrapped__(dataset_id)
+        assert fresh.n_total == REPLAY_ROWS[dataset_id]
+        assert validate_against_reference(dataset_id) == fresh
