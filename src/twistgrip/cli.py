@@ -8,10 +8,11 @@ machine-readable JSON mode next to the human-readable default.
 
 Exit codes: 0 success, 2 input/validation error, 1 internal error.
 
-Each command computes its whole result first; `main` then checks every file's
-destination, writes the files in order and prints stdout last, so a failing
-write exits 2 with nothing on stdout, and a destination whose parent is no
-directory, or that is one, fails before the first file is written.
+Each command computes its whole result first; `main` then checks that stdout is
+open and every file's destination, writes the files in order and prints stdout
+last, so a failing write exits 2 with nothing on stdout, and a closed stdout or
+a destination whose parent is no directory, or that is one, fails before the
+first file is written.
 
 Each command imports the modules it runs when it runs, so `spring predict`,
 `grasp simulate` and `grasp validate` never load numpy, and only the tactile
@@ -62,9 +63,6 @@ def _scenario_from_json(doc):
     gripper = require_key(doc, "gripper")
     shape, height, diameter, mass = (require_key(doc, "object", key) for key in
                                      ("shape_class", "height_m", "diameter_m", "mass_kg"))
-    shapes = [c.value for c in grasp.ShapeClass]
-    if shape not in shapes:
-        raise ValidationError(f"object.shape_class {shape!r} is not one of {shapes}")
     return grasp.GraspScenario(
         gripper=(grasp.GripperGeometry.from_name(gripper) if isinstance(gripper, str)
                  else grasp.GripperGeometry(**gripper)),
@@ -458,6 +456,8 @@ def main(argv=None):
         result = args.func(args)
         out = (json.dumps(result.payload, indent=2, sort_keys=True, allow_nan=False)
                if getattr(args, "json", False) else "\n".join(result.human))
+        if sys.stdout is None:  # closed (>&-): print would drop the output without a word
+            raise OSError("stdout is closed")
         for path, _ in result.files:
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
                 open(path, "rb+").close()  # raises the OSError the write would, creating nothing

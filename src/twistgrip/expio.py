@@ -7,7 +7,6 @@ byte-level determinism stays testable.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -50,13 +49,7 @@ def load_reference_dataset(dataset_id):
     """A bundled reference table's parsed JSON document: "id", "rows" and, optionally, "meta"."""
     if not isinstance(dataset_id, str) or dataset_id not in DATASET_IDS:  # arrays compare elementwise
         raise DomainError(f"unknown dataset {dataset_id!r}; choose from {DATASET_IDS}")
-    return json.loads(_dataset_bytes(dataset_id))
-
-
-@functools.cache
-def _dataset_bytes(dataset_id):
-    """The packaged table's bytes, read once per process; callers parse their own copy."""
-    return resources.files("twistgrip.data").joinpath(f"{dataset_id}.json").read_bytes()
+    return json.loads(resources.files("twistgrip.data").joinpath(f"{dataset_id}.json").read_bytes())
 
 
 def read_payload_csv(path, skin_height=None):

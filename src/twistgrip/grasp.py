@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import expio
-from .errors import DomainError, ValidationError, require_non_negative, require_positive, within
+from .errors import (DomainError, ValidationError, real, require_non_negative, require_positive,
+                     within)
 from .pressure import SphericalObject, line_pressure_closed_form
 
 INCH = 0.0254
@@ -65,6 +66,8 @@ class GripperGeometry:
     def __post_init__(self):
         require_positive(aperture_diameter=self.aperture_diameter,
                          full_close_angle=self.full_close_angle)
+        for name in ("aperture_diameter", "full_close_angle"):  # a float32 would compute in float32
+            object.__setattr__(self, name, real(getattr(self, name)))
 
     @classmethod
     def from_name(cls, name):

@@ -61,6 +61,8 @@ class MarkerLayout:
             raise ValidationError("marker ids must be unique")
         require_positive(marker_diameter=self.marker_diameter)
         object.__setattr__(self, "markers", tuple(markers))
+        # a float32 diameter would compute in float32
+        object.__setattr__(self, "marker_diameter", real(self.marker_diameter))
 
     @classmethod
     def grid(cls, n_cols, n_rows):

@@ -86,12 +86,6 @@ class TestSpringCommands:
         assert code == 0
         assert out_path.read_bytes() == out.encode()
 
-    def test_predict_load(self, capsys):
-        code, out, _ = run(capsys, ["spring", "predict", "--slope1", "100", "--slope2", "400",
-                                    "--breakpoint", "0.4", "--strain", "0.5", "--json"])
-        assert code == 0
-        assert json.loads(out)["load_n"] == pytest.approx(80.0)
-
     def test_predict_strain_from_load(self, capsys):
         code, out, _ = run(capsys, ["spring", "predict", "--slope1", "100", "--slope2", "400",
                                     "--breakpoint", "0.4", "--load", "80", "--json"])
@@ -119,17 +113,6 @@ class TestSpringCommands:
 
 
 class TestGraspCommands:
-    def test_validate_table2(self, capsys):
-        code, out, _ = run(capsys, ["grasp", "validate", "--dataset", "table2"])
-        assert code == 0
-        assert "8/8" in out
-
-    def test_validate_table3_json(self, capsys):
-        code, out, _ = run(capsys, ["grasp", "validate", "--dataset", "table3", "--json"])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["agreement"] == "4/4"
-
     def test_simulate_scenario(self, capsys, tmp_path):
         scenario = {
             "gripper": "4in",
@@ -185,7 +168,7 @@ class TestGraspCommands:
          ' "mass_kg": 0.1}}', "object.height_m"),
         ('{"gripper": "4in", "object": {', "invalid JSON"),
         ('{"gripper": "4in", "object": {"shape_class": "blob", "height_m": 0.05,'
-         ' "diameter_m": 0.05, "mass_kg": 0.1}}', "object.shape_class"),
+         ' "diameter_m": 0.05, "mass_kg": 0.1}}', "shape_class 'blob'"),
         ('{"gripper": "4in", "object": {"shape_class": "sphere", "height_m": "tall",'
          ' "diameter_m": 0.05, "mass_kg": 0.1}}', "height"),
         ('{"gripper": {"aperture_diameter": NaN}, "object": {"shape_class": "sphere",'
@@ -498,6 +481,23 @@ class TestResultContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and path in err
         assert _tree(tmp_path) == before  # no file is written before every destination holds
+
+    class FullStdout(io.StringIO):
+        def write(self, text):  # a full disk or a closed pipe
+            raise OSError(28, "No space left on device")
+
+    @pytest.mark.parametrize("stdout, err", [
+        (None, "error: stdout is closed\n"),  # >&-: checked with the destinations
+        (FullStdout(), "error: [Errno 28] No space left on device\n"),  # fails after the files
+    ], ids=["closed", "failing"])
+    def test_stdout_that_takes_no_output_exits_2(self, capsys, monkeypatch, tmp_path, stdout, err):
+        out = tmp_path / "fit.json"
+        argv = _override("spring fit", _base_argv(tmp_path, "spring fit"), ["--out", str(out)])
+        before = _tree(tmp_path)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        assert set(_tree(tmp_path)) == set(before) | ({out} if stdout else set())
 
 
 VALID_FILES = {

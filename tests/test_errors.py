@@ -1,6 +1,7 @@
 """The shared finite-value checks, and every public boundary that uses them."""
 import dataclasses
 import enum
+import functools
 import math
 import numbers
 import os
@@ -330,43 +331,76 @@ def test_fast_paths_match_the_abc_rules(value, other, at_least):
                 (type(d), struct.pack("<d", d)) for d in expected]
 
 
-# (name the error starts with, call with a finite value outside the field's domain): the field,
-# or the name its message uses, such as "friction coefficient" for k
+# (start of the error's message, call with a value outside the field's domain): the message
+# names the field, or the name it uses, such as "friction coefficient" for k
 OUT_OF_DOMAIN = {
-    "SphericalObject.mass.negative": ("mass", lambda: pressure.SphericalObject(-1.0, 0.05)),
-    "SphericalObject.radius.zero": ("radius", lambda: pressure.SphericalObject(1.0, 0.0)),
-    **{f"FrictionModel.k.{k}": ("friction coefficient", lambda k=k: pressure.FrictionModel(k))
+    "SphericalObject.mass.negative": ("mass must", lambda: pressure.SphericalObject(-1.0, 0.05)),
+    "SphericalObject.radius.zero": ("radius must", lambda: pressure.SphericalObject(1.0, 0.0)),
+    **{f"FrictionModel.k.{k}": ("friction coefficient must", lambda k=k: pressure.FrictionModel(k))
        for k in (-0.1, 1.0, 1.5)},
     "PressureDistribution.p_bottom.negative": (
-        "p_bottom", lambda: pressure.PressureDistribution(p_bottom=-1.0)),
-    "SkinSpec.slope1.zero": ("slope1", lambda: spring.SkinSpec(0.0, 400.0, 0.4)),
-    "predict_load.strain.negative": ("strain", lambda: spring.predict_load(-0.1, SPEC)),
-    "predict_strain.load.negative": ("load", lambda: spring.predict_strain(-5.0, SPEC)),
-    "ZoneFit.predict.strain.negative": ("strain", lambda: FIT.predict(-0.1)),
-    "MarkerLayout.grid.n_cols.negative": ("n_cols", lambda: tactile.MarkerLayout.grid(-1, 3)),
-    "MarkerLayout.grid.n_rows.zero": ("n_rows", lambda: tactile.MarkerLayout.grid(3, 0)),
-    "binarize.threshold.300": ("threshold", lambda: tactile.binarize(FRAME, threshold=300)),
-    "track.gate.zero": ("gate", lambda: tactile.track(EMPTY, EMPTY, gate=0.0)),
+        "p_bottom must", lambda: pressure.PressureDistribution(p_bottom=-1.0)),
+    "SkinSpec.slope1.zero": ("slope1 must", lambda: spring.SkinSpec(0.0, 400.0, 0.4)),
+    "predict_load.strain.negative": ("strain must", lambda: spring.predict_load(-0.1, SPEC)),
+    "predict_strain.load.negative": ("load must", lambda: spring.predict_strain(-5.0, SPEC)),
+    "ZoneFit.predict.strain.negative": ("strain must", lambda: FIT.predict(-0.1)),
+    "MarkerLayout.grid.n_cols.negative": ("n_cols must", lambda: tactile.MarkerLayout.grid(-1, 3)),
+    "MarkerLayout.grid.n_rows.zero": ("n_rows must", lambda: tactile.MarkerLayout.grid(3, 0)),
+    "binarize.threshold.300": ("threshold must", lambda: tactile.binarize(FRAME, threshold=300)),
+    "track.gate.zero": ("gate must", lambda: tactile.track(EMPTY, EMPTY, gate=0.0)),
     "payload_to_weight_ratio.gripper_weight_kg.zero": (
-        "gripper_weight_kg", lambda: expio.payload_to_weight_ratio(30.0, 0.0)),
+        "gripper_weight_kg must", lambda: expio.payload_to_weight_ratio(30.0, 0.0)),
     "detect_markers.min_area.negative": (
-        "min_area", lambda: tactile.detect_markers(FRAME, min_area=-3)),
+        "min_area must", lambda: tactile.detect_markers(FRAME, min_area=-3)),
     **{f"detect_markers.expected_area.{value}": (
-        "expected_area", lambda value=value: tactile.detect_markers(FRAME, expected_area=value))
+        "expected_area must", lambda value=value: tactile.detect_markers(FRAME, expected_area=value))
        for value in (-1.0, 0.0)},
-    "newtons_to_kgf.negative": ("value", lambda: expio.newtons_to_kgf(-1.0)),
+    "newtons_to_kgf.negative": ("value must", lambda: expio.newtons_to_kgf(-1.0)),
+    **{f"SphericalObject.radius.square.{radius!r}": (
+        "radius must square to a finite normal float", lambda radius=radius: (
+            pressure.SphericalObject(1.0, 1.5e-154 if radius < 1.0 else 1.3e154),  # the edge holds
+            pressure.SphericalObject(1.0, radius)))
+       for radius in (5e-324, 1e-170, 1.4e-154, 1.4e154, 1e300)},
+    **{f"{grid.func.__name__}.n_intervals.{n!r}": (
+        "n_intervals must be an integer >= 2",  # with the grid of 2 cached, 2.0 is still rejected
+        lambda grid=grid, n=n: (grid(n_intervals=2), grid(n_intervals=n)))
+       for grid in (functools.partial(pressure.line_pressure_quadrature, SPHERE, FRICTION),
+                    functools.partial(pressure.equilibrium_residual, SPHERE, FRICTION,
+                                      pressure.PressureDistribution(p_bottom=1.0)))
+       for n in (1, 0, -5, 2.0, 2.5, True, "10", None)},
+    **{f"predict_strain.{case}": (f"cannot invert load {load}: {slope} is 0",
+                                  lambda fit=fit, load=load: spring.predict_strain(load, fit))
+       for case, fit, load, slope in (  # a flat curve fits to zero slopes
+           ("flat-fit", spring.fit_zones(spring.PayloadCurve(np.linspace(0, 0.4, 9), [0.0] * 9)),
+            1.0, "slope2"),
+           ("zero-slopes", spring.ZoneFit(0.0, 0.0, 0.3, 0.0, degenerate=True), 0.0, "slope1"),
+           ("zero-slope1", spring.ZoneFit(0.0, 100.0, 0.3, 0.0), 0.0, "slope1"),
+           ("zero-slope2", spring.ZoneFit(100.0, 0.0, 0.3, 0.0), 31.0, "slope2"))},
+    **{f"GripperGeometry.from_name.{case}": (
+        f"unknown gripper preset {name!r}; choose from ['2in', '4in', '8in']",
+        lambda name=name: grasp.GripperGeometry.from_name(name))
+       for case, name in (("unknown", "6in"), ("list", []), ("none", None), ("int", 4),
+                          ("dict", {"4in": 1}))},
+    **{f"GraspScenario.submersion_fraction.{case}": (
+        "submersion_fraction must lie in [0, 1]",
+        lambda value=value: grasp.GraspScenario(GRIPPER, OBJECT, submersion_fraction=value))
+       for case, value in (("string", "0.5"), ("none", None), ("list", [0.5]), ("true", True))},
+    "Deformation.displacement.past-float-range": ("displacement of marker 7 must be finite",
+                                                  lambda: tactile.Deformation({7: (0, 10**400)})),
+    "GraspOutcome.infeasible-ok": ("infeasible outcome must carry a failure reason", lambda: (
+        grasp.GraspOutcome(grasp.Verdict.INFEASIBLE, grasp.Reason.OK))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_DOMAIN))
 def test_finite_value_outside_domain_rejected_naming_field(case):
-    field, call = OUT_OF_DOMAIN[case]
-    with pytest.raises(DomainError, match=rf"^{field} must"):
+    start, call = OUT_OF_DOMAIN[case]
+    with pytest.raises(DomainError, match="^" + re.escape(start)):
         call()
 
 
 # (field named in the error, call that passes the value x in a count or size field);
-# n_intervals has its own rows in test_pressure.py
+# n_intervals has its own rows in OUT_OF_DOMAIN
 COUNTS = {
     **{f"CameraModel.{name}": (name, lambda x, name=name: tactile.CameraModel(**{name: x}))
        for name in ("width", "height")},
@@ -385,13 +419,6 @@ def test_non_integer_count_rejected_naming_field(case, value):
     field, call = COUNTS[case]
     with pytest.raises(DomainError, match=rf"^{field} must be an integer >= \d+, got {value!r}$"):
         call(value)
-
-
-@pytest.mark.parametrize("value", ["0.5", None, [0.5], True],
-                         ids=["string", "none", "list", "true"])
-def test_non_number_submersion_fraction_rejected_naming_it(value):
-    with pytest.raises(DomainError, match=re.escape("submersion_fraction must lie in [0, 1]")):
-        grasp.GraspScenario(GRIPPER, OBJECT, submersion_fraction=value)
 
 
 # (dataset id, message): ids with no feasibility replay, each called twice, so a cached
@@ -423,15 +450,14 @@ def test_deformation_displacement_not_a_real_pair_rejected_naming_marker(displac
         tactile.Deformation(displacements={0: (0.0, 0.0), 7: displacement})
 
 
-def test_deformation_displacement_past_the_largest_float_rejected_naming_marker():
-    with pytest.raises(DomainError, match="^displacement of marker 7 must be finite"):
-        tactile.Deformation(displacements={7: (0, 10**400)})
-
-
-@pytest.mark.parametrize("value", [300, -1, 1.5, math.nan, math.inf, -math.inf, 1j, "x"])
-def test_frame_pixel_outside_uint8_rejected_naming_pixels(value):
-    with pytest.raises(ValidationError, match="^pixels must"):
-        tactile.TactileFrame(pixels=[[0, value]])
+# inputs each rejected, by id
+FLAGS = ("inside_petal_region", "agitated_approach")
+NOT_A_BOOL = {"no": "no", "false": "false", "zero": 0, "one": 1, "float-one": 1.0, "none": None}
+NOT_A_SHAPE = {"blob": "blob", "caps": "FLAT", "empty": "", "none": None, "int": 3, "list": ["flat"]}
+NOT_A_PAIR = {"single": (0.5,), "scalar": 0.5, "triple": (0.1, 0.2, 0.3), "none": None, "empty": ()}
+NOT_A_COORDINATE = {"above-one": 1.5, "true": True, "numpy-bool": np.True_, "string": "0.5",
+                    "none": None, "huge": 10**400, "nan": math.nan}
+NOT_A_PIXEL = (300, -1, 1.5, math.nan, math.inf, -math.inf, 1j, "x")  # no uint8
 
 
 def _emit(series):
@@ -442,57 +468,82 @@ def _plot(*series):
     _emit([(xs, ys, "s") for xs, ys in series])
 
 
-@pytest.mark.parametrize("field, call", [
-    ("pixels", lambda: tactile.TactileFrame(pixels=[[0], [0, 1]])),
-    ("markers", lambda: tactile.MarkerLayout(markers=(5,))),
-    ("markers", lambda: tactile.MarkerLayout(markers=5)),
-    ("markers", lambda: tactile.MarkerLayout.from_json({"markers": 5, "marker_diameter_m": 0.002})),
-    ("displacements", lambda: tactile.Deformation(displacements=[(1, (0, 0))])),
-    ("occluded", lambda: tactile.Deformation(occluded=5)),
-    ("strains", lambda: spring.PayloadCurve(strains=(0.5, True, 3.0), loads=(0.0, 1.0, 2.0))),
-    ("loads", lambda: spring.PayloadCurve(strains=(0.1, 0.2, 0.3), loads=(0.0, np.True_, 2.0))),
-    ("deflections", lambda: spring.PayloadCurve.from_absolute((0.0, np.True_), (0.0, 1.0), 0.05)),
-    ("xy", lambda: tactile.MarkerSet(xy=None, areas=[], merged=[])),
-    ("xy", lambda: tactile.MarkerSet(xy=[1.0, 2.0, 3.0], areas=[1], merged=[False])),
-    ("areas", lambda: tactile.MarkerSet(xy=[], areas=["x"], merged=[])),
-    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[math.nan], merged=[False])),
-    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[10**400], merged=[False])),
-    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([math.nan]),
+@pytest.mark.parametrize("start, call", [
+    ("pixels must", lambda: tactile.TactileFrame(pixels=[[0], [0, 1]])),
+    ("markers must", lambda: tactile.MarkerLayout(markers=(5,))),
+    ("markers must", lambda: tactile.MarkerLayout(markers=5)),
+    ("markers must", lambda: tactile.MarkerLayout.from_json({"markers": 5, "marker_diameter_m": 0.002})),
+    ("displacements must", lambda: tactile.Deformation(displacements=[(1, (0, 0))])),
+    ("occluded must", lambda: tactile.Deformation(occluded=5)),
+    ("strains must", lambda: spring.PayloadCurve(strains=(0.5, True, 3.0), loads=(0.0, 1.0, 2.0))),
+    ("loads must", lambda: spring.PayloadCurve(strains=(0.1, 0.2, 0.3), loads=(0.0, np.True_, 2.0))),
+    ("deflections must", lambda: spring.PayloadCurve.from_absolute((0.0, np.True_), (0.0, 1.0), 0.05)),
+    ("xy must", lambda: tactile.MarkerSet(xy=None, areas=[], merged=[])),
+    ("xy must", lambda: tactile.MarkerSet(xy=[1.0, 2.0, 3.0], areas=[1], merged=[False])),
+    ("areas must", lambda: tactile.MarkerSet(xy=[], areas=["x"], merged=[])),
+    ("areas must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[math.nan], merged=[False])),
+    ("areas must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[10**400], merged=[False])),
+    ("areas must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([math.nan]),
                                         merged=[False])),
-    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([2.7]), merged=[False])),
-    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([1e30]), merged=[False])),
-    ("merged", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[1], merged=["no"])),
-    ("merged", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[1], merged=[0.5])),
-    ("prev_index", lambda: tactile.DisplacementField(
+    ("areas must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([2.7]), merged=[False])),
+    ("areas must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=np.array([1e30]), merged=[False])),
+    ("merged must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[1], merged=["no"])),
+    ("merged must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[1], merged=[0.5])),
+    ("prev_index must", lambda: tactile.DisplacementField(
         prev_index=np.array([math.inf]), curr_index=[0], shifts=[(0.0, 0.0)], lost=[],
         appeared=[])),
-    ("prev_index", lambda: tactile.DisplacementField(
+    ("prev_index must", lambda: tactile.DisplacementField(
         prev_index=["a"], curr_index=[0], shifts=[(0.0, 0.0)], lost=[], appeared=[])),
-    ("shifts", lambda: tactile.DisplacementField(
+    ("shifts must", lambda: tactile.DisplacementField(
         prev_index=[], curr_index=[], shifts=None, lost=[], appeared=[])),
-    ("lost", lambda: tactile.DisplacementField(
+    ("lost must", lambda: tactile.DisplacementField(
         prev_index=[], curr_index=[], shifts=[], lost=[None], appeared=[])),
-    ("appeared", lambda: tactile.DisplacementField(
+    ("appeared must", lambda: tactile.DisplacementField(
         prev_index=[], curr_index=[], shifts=[], lost=[], appeared=[[0], [0, 1]])),
-    ("areas", lambda: tactile.MarkerSet(xy=[], areas=5, merged=[])),
-    ("merged", lambda: tactile.MarkerSet(xy=[], areas=[], merged=False)),
-    ("lost", lambda: tactile.DisplacementField(
+    ("areas must", lambda: tactile.MarkerSet(xy=[], areas=5, merged=[])),
+    ("merged must", lambda: tactile.MarkerSet(xy=[], areas=[], merged=False)),
+    ("lost must", lambda: tactile.DisplacementField(
         prev_index=[], curr_index=[], shifts=[], lost=7, appeared=[])),
-    ("areas", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[[1, 2]], merged=[False])),
-    ("prev_index", lambda: tactile.DisplacementField(
+    ("areas must", lambda: tactile.MarkerSet(xy=[(0.0, 0.0)], areas=[[1, 2]], merged=[False])),
+    ("prev_index must", lambda: tactile.DisplacementField(
         prev_index=[[0]], curr_index=[0], shifts=[(0.0, 0.0)], lost=[], appeared=[])),
-    ("xs", lambda: _plot(([0.0, math.nan], [0.0, 1.0]))),
-    ("ys", lambda: _plot(([0.0, 1.0], [0.0, math.inf]))),
-    ("ys", lambda: _plot(([0.0, 1.0, 2.0], [0.0, 1.0]))),
-    ("ys", lambda: _plot(([0.0], []))),
-    ("ys", lambda: _plot(([0.0, 1.0], [0.0, 1.0]), ([], [2.0]))),
-    ("xs", lambda: _plot(([-1e308, 1e308], [0.0, 1.0]))),
-    ("ys", lambda: _plot(([0.0], [-1e308]), ([1.0], [1e308]))),
-    ("xs", lambda: _plot(([[0.0, 1.0]], [0.0]))),
-    ("xy", lambda: tactile.MarkerSet(xy=[(math.nan, 0.0)], areas=[1], merged=[False])),
-    ("shifts", lambda: tactile.DisplacementField(
+    ("xs must", lambda: _plot(([0.0, math.nan], [0.0, 1.0]))),
+    ("ys must", lambda: _plot(([0.0, 1.0], [0.0, math.inf]))),
+    ("ys must", lambda: _plot(([0.0, 1.0, 2.0], [0.0, 1.0]))),
+    ("ys must", lambda: _plot(([0.0], []))),
+    ("ys must", lambda: _plot(([0.0, 1.0], [0.0, 1.0]), ([], [2.0]))),
+    ("xs must", lambda: _plot(([-1e308, 1e308], [0.0, 1.0]))),
+    ("ys must", lambda: _plot(([0.0], [-1e308]), ([1.0], [1e308]))),
+    ("xs must", lambda: _plot(([[0.0, 1.0]], [0.0]))),
+    ("xy must", lambda: tactile.MarkerSet(xy=[(math.nan, 0.0)], areas=[1], merged=[False])),
+    ("shifts must", lambda: tactile.DisplacementField(
         prev_index=[0], curr_index=[0], shifts=[(math.inf, 0.0)], lost=[], appeared=[])),
-    *[("series", lambda series=series: _emit(series)) for series in ([([0.0], [0.0])], 5, [None])],
+    *[("series must", lambda series=series: _emit(series)) for series in ([([0.0], [0.0])], 5, [None])],
+    *[(f"shape_class {shape!r} is not one of",
+       lambda shape=shape: grasp.ObjectDescriptor(shape, 0.05, 0.05, 0.1))
+      for shape in NOT_A_SHAPE.values()],
+    *[(f"{flag} must be true or false", lambda flag=flag, value=value: grasp.GraspScenario(
+        GRIPPER, OBJECT, submersion_fraction=0.7, **{flag: value}))
+      for flag in FLAGS for value in NOT_A_BOOL.values()],
+    ("marker ids must be unique", lambda: tactile.MarkerLayout(markers=((0, (0.1, 0.1)), (0, (0.2, 0.2))))),
+    *[("marker 3 needs a pair (u, v), got ", lambda position=position: tactile.MarkerLayout(
+        markers=((0, (0.5, 0.5)), (3, position)))) for position in NOT_A_PAIR.values()],
+    *[("marker 0 u must lie in [0, 1]", lambda u=u: tactile.MarkerLayout(markers=((0, (u, 0.5)),)))
+      for u in NOT_A_COORDINATE.values()],
+    ("pixels must be a non-empty 2-D array", lambda: tactile.TactileFrame(pixels=np.zeros((0, 0)))),
+    *[("pixels must", lambda value=value: tactile.TactileFrame(pixels=[[0, value]]))
+      for value in NOT_A_PIXEL],
+    *[("xy, areas and merged must hold one entry per marker", lambda xy=xy: tactile.MarkerSet(
+        xy=xy, areas=[1, 2], merged=[False])) for xy in ([(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)])],
+    *[("prev_index, curr_index and shifts must hold one entry per match", lambda c=c, s=s: (
+        tactile.DisplacementField(prev_index=[0], curr_index=c, shifts=s, lost=[], appeared=[])))
+      for c, s in (([0, 1], [(0.0, 0.0)]), ([0], []))],
+    *[(start, lambda strains=strains, loads=loads: spring.PayloadCurve(strains, loads))
+      for start, strains, loads in (
+          ("strains must be strictly increasing", (0.0, 0.2, 0.2), (0.0, 1.0, 2.0)),
+          ("loads must be non-decreasing", (0.0, 0.2, 0.4), (0.0, 2.0, 1.0)),
+          ("loads must be non-negative", (0.0, 0.2), (-1.0, 2.0)),
+          ("strains and loads must be 1-D and equal length", (0.0, 0.2), (0.0,)))],
 ], ids=["ragged-pixels", "markers-of-ints", "markers-int", "markers-json-int", "displacements-list",
         "occluded-int", "bool-among-strains", "numpy-bool-among-loads",
         "numpy-bool-among-deflections",
@@ -503,9 +554,17 @@ def _plot(*series):
         "merged-scalar", "lost-scalar", "areas-2d", "prev-index-2d", "plot-nan-x", "plot-inf-y",
         "plot-unequal-lengths", "plot-x-without-y", "plot-y-without-x", "plot-x-span-overflows",
         "plot-y-span-across-series-overflows", "plot-2d-x", "xy-nan", "shifts-inf",
-        "series-of-pairs", "series-int", "series-of-none"])
-def test_malformed_container_rejected_naming_it(field, call):
-    with pytest.raises(ValidationError, match=rf"^{field} must"):
+        "series-of-pairs", "series-int", "series-of-none",
+        *[f"shape-{case}" for case in NOT_A_SHAPE],
+        *[f"{flag}-{case}" for flag in FLAGS for case in NOT_A_BOOL], "duplicate-marker-ids",
+        *[f"position-{case}" for case in NOT_A_PAIR],
+        *[f"coordinate-{case}" for case in NOT_A_COORDINATE], "empty-pixels",
+        *[f"pixel-{value}" for value in NOT_A_PIXEL],
+        "marker-areas-unequal", "marker-merged-unequal", "field-curr-index-unequal",
+        "field-shifts-unequal", "strains-not-increasing", "loads-decreasing", "loads-negative",
+        "curve-unequal-lengths"])
+def test_malformed_container_rejected_naming_it(start, call):
+    with pytest.raises(ValidationError, match="^" + re.escape(start)):
         call()
 
 
@@ -600,23 +659,11 @@ def test_non_path_rejected_naming_it(call, path):
         call(path)
 
 
-def test_overflowing_marker_scale_rejected():
-    huge = tactile.MarkerLayout(markers=((0, (0.5, 0.5)),), marker_diameter=1e308)
-    with pytest.raises(DomainError, match="marker_radius_px"):
-        tactile.render_frame(huge, tactile.Deformation(), CAMERA)
-
-
-def test_underflowing_phase_step_rejected():
-    tiny = grasp.GripperGeometry(0.1, full_close_angle=5e-324)
-    with pytest.raises(DomainError, match="step_angle"):
-        grasp.simulate_phases(tiny)
-
-
 HUGE_SPHERE = pressure.SphericalObject(mass=0.21, radius=1e154)
 DENSE_SPHERE = pressure.SphericalObject(mass=1e300, radius=1e-150)
 TINY_SLOPES = spring.SkinSpec(1e-310, 1e-309, 0.4)
 
-# (field named in the error, call whose finite inputs overflow a result)
+# (field named in the error, call whose finite inputs overflow or underflow a result)
 OVERFLOWS = {
     "line_pressure_closed_form.radius": (
         "radius", lambda: pressure.line_pressure_closed_form(HUGE_SPHERE, FRICTION)),
@@ -638,6 +685,11 @@ OVERFLOWS = {
     "simulate_phases.full_close_angle": (
         "full_close_angle", lambda: grasp.simulate_phases(
             grasp.GripperGeometry(0.1, full_close_angle=1.7e308))),  # 16 steps sum short of it
+    "simulate_phases.step_angle": ("step_angle", lambda: grasp.simulate_phases(
+        grasp.GripperGeometry(0.1, full_close_angle=5e-324))),  # a sixteenth of it is 0
+    "render_frame.marker_radius_px": ("marker_radius_px", lambda: tactile.render_frame(
+        tactile.MarkerLayout(markers=((0, (0.5, 0.5)),), marker_diameter=1e308),
+        tactile.Deformation(), CAMERA)),
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from twistgrip import tactile
-from twistgrip.errors import ParseError, ValidationError
+from twistgrip.errors import ParseError
 from twistgrip.tactile import (
     CHUNK_PIXELS,
     MARKER_DIAMETER_DEFAULT,
@@ -49,26 +49,6 @@ def match_errors(markers, sidecar):
 
 
 class TestLayoutAndFrame:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            MarkerLayout(markers=((0, (0.1, 0.1)), (0, (0.2, 0.2))))
-
-    def test_position_outside_unit_square_rejected(self):
-        with pytest.raises(ValidationError):
-            MarkerLayout(markers=((0, (1.5, 0.1)),))
-
-    @pytest.mark.parametrize("position", [(0.5,), 0.5, (0.1, 0.2, 0.3), None, ()],
-                             ids=["single", "scalar", "triple", "none", "empty"])
-    def test_position_not_a_pair_rejected_naming_marker(self, position):
-        with pytest.raises(ValidationError, match=r"^marker 3 needs a pair \(u, v\), got "):
-            MarkerLayout(markers=((0, (0.5, 0.5)), (3, position)))
-
-    @pytest.mark.parametrize("u", [True, np.True_, "0.5", None, 10**400, math.nan],
-                             ids=["true", "numpy-bool", "string", "none", "huge", "nan"])
-    def test_coordinate_not_a_number_in_unit_range_rejected_naming_it(self, u):
-        with pytest.raises(ValidationError, match=r"^marker 0 u must lie in \[0, 1\]"):
-            MarkerLayout(markers=((0, (u, 0.5)),))
-
     def test_layout_json_round_trip(self):
         doc = {"marker_diameter_m": LAYOUT.marker_diameter,
                "markers": [{"id": mid, "u": u, "v": v} for mid, (u, v) in LAYOUT.markers]}
@@ -86,9 +66,13 @@ class TestLayoutAndFrame:
         assert repr(layout) == text == (f"MarkerLayout(markers={layout.markers!r}, "
                                         f"marker_diameter={layout.marker_diameter!r})")
 
-    def test_empty_pixels_rejected(self):
-        with pytest.raises(ValidationError):
-            TactileFrame(pixels=np.zeros((0, 0)))
+    def test_float32_marker_diameter_computes_in_float64(self):
+        diameter = np.float32(MARKER_DIAMETER_DEFAULT)
+        layouts = [MarkerLayout(LAYOUT.markers, marker_diameter=d) for d in (diameter, float(diameter))]
+        gates = [default_gate(layout, CAMERA) for layout in layouts]
+        assert type(gates[0]) is float and gates[0] == gates[1]
+        sidecars = [render_frame(layout, Deformation(), CAMERA)[1] for layout in layouts]
+        assert sidecars[0]["marker_radius_px"] == sidecars[1]["marker_radius_px"]
 
     def test_uint8_pixels_kept_and_others_converted_exactly(self):
         pixels = np.arange(6, dtype=np.uint8).reshape(2, 3)
@@ -96,18 +80,6 @@ class TestLayoutAndFrame:
         for other in ([[0.0, 128.0, 255.0]], [[0, 128, 255]], np.array([[0, 128, 255]], np.int16)):
             converted = TactileFrame(pixels=other).pixels
             assert converted.dtype == np.uint8 and converted.tolist() == [[0, 128, 255]]
-
-
-@pytest.mark.parametrize("build", [
-    lambda: MarkerSet(xy=[(0.0, 0.0)], areas=[1, 2], merged=[False]),
-    lambda: MarkerSet(xy=[(0.0, 0.0), (1.0, 1.0)], areas=[1, 2], merged=[False]),
-    lambda: DisplacementField(prev_index=[0], curr_index=[0, 1], shifts=[(0.0, 0.0)], lost=[],
-                              appeared=[]),
-    lambda: DisplacementField(prev_index=[0], curr_index=[0], shifts=[], lost=[], appeared=[]),
-], ids=["marker-areas", "marker-merged", "field-curr-index", "field-shifts"])
-def test_arrays_of_unequal_length_rejected(build):
-    with pytest.raises(ValidationError, match="must hold one entry per"):
-        build()
 
 
 def test_record_views_hold_python_values_equal_to_the_arrays():
